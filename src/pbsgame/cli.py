@@ -1,11 +1,10 @@
 """Command-line entry point: simulate, sweep, egta, verify-analytic.
 
-All defaults reproduce the reference hyperparameters (value rate 10,
-temperature 2, learning rate 0.5, pool of 20, GA trigger 0.01, elimination
-0.5, mutation 0.01). Configuration comes from an optional JSON file plus
-flag overrides, flags winning. Every run writes a manifest with sha256
-checksums of the emitted files; re-running with the same seed reproduces
-identical checksums regardless of --jobs.
+Settings come from an optional JSON config file plus flag overrides, flags
+winning; a setting neither gives keeps its ``SimConfig``/``GAConfig`` default.
+Every run writes a manifest with sha256 checksums of the emitted files;
+re-running with the same seed reproduces identical checksums regardless of
+--jobs.
 
 Exit codes: 0 success, 2 configuration error, 3 IO error, 4 numerical failure.
 """
@@ -18,7 +17,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,23 +31,6 @@ from .evolution import GAConfig
 from .manifest import write_manifest
 from .simulation import SimConfig, Simulation, moving_average
 from .sweep import sweep_conflict
-
-_SIM_DEFAULTS = {
-    "builders": 10,
-    "searchers": 10,
-    "rounds": 10000,
-    "pc": 0.8,
-    "value_rate": 10.0,
-    "temperature": 2.0,
-    "learning_rate": 0.5,
-    "trigger": 0.01,
-    "elimination": 0.5,
-    "mutation": 0.01,
-    "capacity": None,
-    "seed": 0,
-    "ma_window": 200,
-    "snapshot_every": 1000,
-}
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -68,59 +52,91 @@ def parse_grid(spec: str) -> list[float]:
                 raise ValueError("grid step must be positive")
             count = int(round((stop - start) / step)) + 1
             values = [round(start + k * step, 10) for k in range(count)]
-            return [v for v in values if v <= stop + 1e-9]
-        if "," in spec:
-            return [float(v) for v in spec.split(",") if v.strip()]
-        return [float(spec)]
+            values = [v for v in values if v <= stop + 1e-9]
+        elif "," in spec:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+        else:
+            values = [float(spec)]
+        if not values:
+            raise ValueError("grid is empty")
+        return values
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+# Each flag and config-file key, in manifest order, and the SimConfig field it
+# sets (a GAConfig field for the GA rates). A setting is converted to its
+# field's type; model hyperparameters default only in the dataclasses.
+_FIELDS = {
+    "builders": "n_builders", "searchers": "n_searchers", "rounds": "rounds", "pc": "p_c",
+    "value_rate": "value_rate", "temperature": "temperature", "learning_rate": "learning_rate",
+    "trigger": "trigger", "elimination": "elimination", "mutation": "mutation",
+    "capacity": "capacity", "seed": "seed", "ma_window": "ma_window",
+    "snapshot_every": "snapshot_every",
+}
+_GA_FIELDS = {f.name for f in fields(GAConfig)}
+_TYPES = {**get_type_hints(SimConfig), **get_type_hints(GAConfig)}
+_RUN_DEFAULTS = {"builders": 10, "searchers": 10, "rounds": 10000}
+_SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "snapshot_every": 1000}
+_GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
+
+
+_CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "none") else int(v)}
+
+
+def _convert(key: str, value, convert):
+    """``convert(value)``, or a ConfigError naming ``key``; a boolean is never a number."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: line {exc.lineno}: {exc.msg}") from exc
-    unknown = set(payload) - set(_SIM_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
-    return payload
+        if isinstance(value, bool):
+            raise TypeError("expected a number")
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
 
-def _merged_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_SIM_DEFAULTS)
-    settings.update(_load_config_file(getattr(args, "config", None)))
-    for key in _SIM_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+def _settings(args: argparse.Namespace, defaults: dict) -> dict:
+    """Raw settings: the defaults, then the config file, then the flags given."""
+    settings = dict(defaults)
+    if args.config is not None:
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config}: line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config file {args.config}: expected a JSON object")
+        unknown = set(payload) - set(_FIELDS)
+        if unknown:
+            raise ConfigError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+        settings.update(payload)
+    for key in _FIELDS:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
     return settings
 
 
-def _sim_config(settings: dict, **overrides) -> SimConfig:
-    merged = dict(settings)
-    merged.update(overrides)
-    return SimConfig(
-        n_builders=int(merged["builders"]),
-        n_searchers=int(merged["searchers"]),
-        rounds=int(merged["rounds"]),
-        p_c=float(merged["pc"]),
-        value_rate=float(merged["value_rate"]),
-        temperature=float(merged["temperature"]),
-        learning_rate=float(merged["learning_rate"]),
-        ga=GAConfig(
-            trigger=float(merged["trigger"]),
-            elimination=float(merged["elimination"]),
-            mutation=float(merged["mutation"]),
-        ),
-        capacity=None if merged["capacity"] in (None, "none") else int(merged["capacity"]),
-        seed=int(merged["seed"]),
-        ma_window=int(merged["ma_window"]),
-        record_rounds=bool(merged.get("record_rounds", False)),
-        snapshot_every=int(merged["snapshot_every"]),
-    )
+def _sim_config(settings: dict, **extra) -> SimConfig:
+    """The SimConfig the settings describe; ``extra`` sets fields directly."""
+    sim, ga = dict(extra), {}
+    for key, value in settings.items():
+        field = _FIELDS[key]
+        (ga if field in _GA_FIELDS else sim)[field] = _convert(key, value, _CONVERT[_TYPES[field]])
+    return SimConfig(**sim, ga=GAConfig(**ga))
+
+
+def _grid_config(args: argparse.Namespace) -> tuple[SimConfig, list[float], object]:
+    """sweep and egta: the config at the first p_c of the grid, the grid, and its spec."""
+    settings = _settings(args, _GRID_DEFAULTS)
+    spec = settings.pop("pc")
+    grid = _convert("pc", spec, lambda value: parse_grid(str(value)))
+    return _sim_config(settings, p_c=grid[0]), grid, spec
+
+
+def _echo(config: SimConfig) -> dict:
+    """The manifest's config block: each key with the value the run used."""
+    return {
+        key: getattr(config.ga if field in _GA_FIELDS else config, field)
+        for key, field in _FIELDS.items()
+    }
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -145,8 +161,7 @@ def _fmt(value) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    settings = _merged_settings(args)
-    config = _sim_config(settings, record_rounds=bool(args.record_rounds))
+    config = _sim_config(_settings(args, _SIMULATE_DEFAULTS), record_rounds=args.record_rounds)
     out = _output_dir(args)
 
     sim = Simulation(config)
@@ -180,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     files.append(pools_path)
 
     write_manifest(
-        out, "simulate", settings, config.seed, files, time.monotonic() - started, __version__
+        out, "simulate", _echo(config), config.seed, files, time.monotonic() - started, __version__
     )
     print(f"simulate: {config.rounds} rounds -> {out}")
     return 0
@@ -206,11 +221,9 @@ def _round_rows(sim: Simulation):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    settings = _merged_settings(args)
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    p_values = parse_grid(args.pc if args.pc is not None else "0:1:0.1")
-    base = _sim_config(settings, pc=p_values[0])
+    base, p_values, spec = _grid_config(args)
     out = _output_dir(args)
 
     rows = sweep_conflict(base, p_values, args.reps, jobs=args.jobs)
@@ -223,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_manifest(
         out,
         "sweep",
-        {**settings, "pc_grid": p_values, "reps": args.reps},
+        {**_echo(base), "pc": spec, "pc_grid": p_values, "reps": args.reps},
         base.seed,
         [sweep_path],
         time.monotonic() - started,
@@ -256,55 +269,39 @@ def _load_hpt_file(path: str) -> HeuristicPayoffTable:
 
 def cmd_egta(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    settings = _merged_settings(args)
     if args.agents < 2:
         raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
+    template, p_values, spec = _grid_config(args)
     alpha_values = parse_grid(args.alpha)
     out = _output_dir(args)
     files = []
 
-    hpt_rows_csv = []
-    rank_rows = []
+    # (p_c cell, payoff table) pairs; a table read from a file has no p_c
     if args.hpt_file:
-        hpt = _load_hpt_file(args.hpt_file)
-        for result in intensity_sweep(hpt, alpha_values):
-            rank_rows.append(["", _fmt(result.alpha), _fmt(result.nu_building), _fmt(result.nu_sharing)])
+        tables = [("", _load_hpt_file(args.hpt_file))]
     else:
-        p_values = parse_grid(args.pc if args.pc is not None else "0:1:0.1")
-        template = _sim_config(
-            settings, rounds=args.rounds if args.rounds is not None else settings["rounds"]
-        )
-        for p in p_values:
-            hpt = estimate_hpt(
-                args.agents,
-                _sim_config(settings, pc=p, rounds=template.rounds),
-                reps=args.reps,
-                jobs=args.jobs,
-            )
-            for row in hpt.rows:
-                hpt_rows_csv.append(
-                    [
-                        _fmt(p),
-                        row.n_building,
-                        row.n_sharing,
-                        _fmt(row.u_building),
-                        _fmt(row.u_sharing),
-                        row.samples,
-                        _fmt(row.max_residual),
-                    ]
-                )
-            for result in intensity_sweep(hpt, alpha_values):
-                rank_rows.append(
-                    [_fmt(p), _fmt(result.alpha), _fmt(result.nu_building), _fmt(result.nu_sharing)]
-                )
+        tables = [
+            (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
+            for p in p_values
+        ]
         hpt_path = out / "hpt.csv"
         _write_csv(
             hpt_path,
             ["p_c", "n_building", "n_sharing", "u_building", "u_sharing", "samples", "max_residual"],
-            hpt_rows_csv,
+            (
+                [p, row.n_building, row.n_sharing, _fmt(row.u_building), _fmt(row.u_sharing),
+                 row.samples, _fmt(row.max_residual)]
+                for p, hpt in tables
+                for row in hpt.rows
+            ),
         )
         files.append(hpt_path)
 
+    rank_rows = [
+        [p, _fmt(result.alpha), _fmt(result.nu_building), _fmt(result.nu_sharing)]
+        for p, hpt in tables
+        for result in intensity_sweep(hpt, alpha_values)
+    ]
     rank_path = out / "alpharank.csv"
     _write_csv(rank_path, ["p_c", "alpha", "nu_building", "nu_sharing"], rank_rows)
     files.append(rank_path)
@@ -312,8 +309,9 @@ def cmd_egta(args: argparse.Namespace) -> int:
     write_manifest(
         out,
         "egta",
-        {**settings, "agents": args.agents, "alpha_grid": alpha_values, "reps": args.reps},
-        int(settings["seed"]),
+        {**_echo(template), "pc": spec, "agents": args.agents, "alpha_grid": alpha_values,
+         "reps": args.reps},
+        template.seed,
         files,
         time.monotonic() - started,
         __version__,
@@ -324,13 +322,14 @@ def cmd_egta(args: argparse.Namespace) -> int:
 
 def cmd_verify_analytic(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
     out = _output_dir(args)
     report = verification_report(
         sign_points=args.sign_points,
         mc_points=args.mc_points,
-        mc_samples=int(float(args.mc_samples)),
+        mc_samples=mc_samples,
         fd_points=args.fd_points,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     report_path = out / "verify.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -340,10 +339,10 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
         {
             "sign_points": args.sign_points,
             "mc_points": args.mc_points,
-            "mc_samples": int(float(args.mc_samples)),
+            "mc_samples": mc_samples,
             "fd_points": args.fd_points,
         },
-        args.seed if args.seed is not None else 0,
+        args.seed,
         [report_path],
         time.monotonic() - started,
         __version__,
@@ -356,18 +355,9 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--builders", type=int)
-    parser.add_argument("--searchers", type=int)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--value-rate", dest="value_rate", type=float)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--trigger", type=float)
-    parser.add_argument("--elimination", type=float)
-    parser.add_argument("--mutation", type=float)
-    parser.add_argument("--capacity", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--ma-window", dest="ma_window", type=int)
+    for key in _FIELDS:
+        if key not in ("pc", "snapshot_every"):  # each command declares these itself
+            parser.add_argument("--" + key.replace("_", "-"))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -386,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one co-evolution simulation")
     _add_sim_flags(p_sim)
     _add_common_flags(p_sim)
-    p_sim.add_argument("--pc", type=float, help="bundle conflict probability")
-    p_sim.add_argument("--snapshot-every", dest="snapshot_every", type=int)
+    p_sim.add_argument("--pc", help="bundle conflict probability")
+    p_sim.add_argument("--snapshot-every")
     p_sim.add_argument(
         "--record-rounds", dest="record_rounds", action="store_true", help="emit rounds.csv"
     )
@@ -412,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-analytic", help="check the closed-form market on a grid")
     _add_common_flags(p_verify)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--sign-points", type=int, default=1000)
     p_verify.add_argument("--mc-points", type=int, default=50)
     p_verify.add_argument("--mc-samples", default="1e6")

@@ -72,6 +72,10 @@ def estimate_hpt(
     ``profiles`` restricts estimation to the given builder counts (all m+1
     splits by default). Payoffs are post-convergence averages; a role with
     zero adopters in a profile gets no payoff entry.
+
+    Replica seeds are SeedSequence([template.seed, n_building, rep]), with no
+    p_c index: tables estimated at different p_c use common random numbers,
+    so equal p_c values give equal tables.
     """
     if m < 2:
         raise ConfigError(f"meta-game needs at least 2 agents, got {m}")

@@ -1,11 +1,11 @@
 """Per-agent strategy pools: softmax selection, fitness updates, and the GA.
 
-Each agent keeps a pool of 20 chromosomes. Every round it plays one, chosen by
-softmax roulette over fitness; the played strategy's fitness moves toward the
-realized payoff by an exponential moving average. With a small per-round
-probability the pool is rebuilt: the worst half is eliminated and offspring
-are bred from the survivors by roulette selection, single-point crossover,
-and bit-flip mutation until the pool is full again.
+Each agent keeps a pool of POOL_SIZE chromosomes. Every round it plays one,
+chosen by softmax roulette over fitness; the played strategy's fitness moves
+toward the realized payoff by an exponential moving average. With a small
+per-round probability the pool is rebuilt: the worst fraction is eliminated
+and offspring are bred from the survivors by roulette selection,
+single-point crossover, and bit-flip mutation until the pool is full again.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class GAConfig:
 class StrategyPool:
     owner: int
     strategies: list[Chromosome]
-    temperature: float = 2.0
-    learning_rate: float = 0.5
+    temperature: float = 2.0  # softmax selection temperature
+    learning_rate: float = 0.5  # step of the fitness moving average
 
     def __post_init__(self):
         if not self.strategies:
@@ -55,11 +55,10 @@ class StrategyPool:
         width: int,
         rng: np.random.Generator,
         size: int = POOL_SIZE,
-        temperature: float = 2.0,
-        learning_rate: float = 0.5,
+        **params,
     ) -> "StrategyPool":
-        strategies = [random_chromosome(width, rng) for _ in range(size)]
-        return cls(owner, strategies, temperature, learning_rate)
+        """A pool of ``size`` random chromosomes; ``params`` sets the remaining fields."""
+        return cls(owner, [random_chromosome(width, rng) for _ in range(size)], **params)
 
 
 def selection_probabilities(pool: StrategyPool) -> np.ndarray:

@@ -44,8 +44,8 @@ class SimConfig:
     rounds: int
     p_c: float
     value_rate: float = 10.0
-    temperature: float = 2.0
-    learning_rate: float = 0.5
+    temperature: float = StrategyPool.temperature
+    learning_rate: float = StrategyPool.learning_rate
     ga: GAConfig = field(default_factory=GAConfig)
     capacity: int | None = None
     seed: int = 0
@@ -64,8 +64,8 @@ class SimConfig:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.p_c <= 1:
             raise ConfigError(f"conflict probability must be in [0, 1], got {self.p_c}")
-        if self.value_rate <= 0:
-            raise ConfigError(f"value rate must be positive, got {self.value_rate}")
+        if not 0 < self.value_rate < math.inf:
+            raise ConfigError(f"value rate must be positive and finite, got {self.value_rate}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
         if self.pool_size < 1:
@@ -74,6 +74,8 @@ class SimConfig:
             raise ConfigError(f"moving-average window must be >= 1, got {self.ma_window}")
         if not 0 < self.final_window <= 1:
             raise ConfigError(f"final window fraction must be in (0, 1], got {self.final_window}")
+        if self.snapshot_every < 0:
+            raise ConfigError(f"snapshot period must be >= 0, got {self.snapshot_every}")
 
     @property
     def n_agents(self) -> int:

@@ -169,3 +169,79 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
     target.write_text("a file, not a directory")
     assert run_cli("simulate", *SIM_ARGS, "-o", target) == 3
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        (["simulate"], {"rounds": "x"}, "rounds"),
+        (["simulate"], [1, 2], "JSON object"),
+        (["sweep", "--pc", "1:0:0.1"], None, "grid is empty"),
+        (["simulate", *SIM_ARGS, "--value-rate", "inf"], None, "value rate"),
+        (["simulate", *SIM_ARGS, "--snapshot-every", -5], None, "snapshot period"),
+        (["verify-analytic", "--mc-samples", "abc"], None, "mc_samples"),
+    ],
+    ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
+         "negative-snapshot-period", "mc-samples-abc"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", tmp_path / "config.json"]
+    assert run_cli(*argv, "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+
+
+def test_egta_pc_grid(tmp_path):
+    assert run_cli(
+        "egta", "--agents", 2, "--pc", "0:1:0.5", "--alpha", "1", "--reps", 1,
+        "--rounds", 30, "--seed", 2, "-o", tmp_path,
+    ) == 0
+    with open(tmp_path / "hpt.csv") as handle:
+        p_values = [row["p_c"] for row in csv.DictReader(handle)]
+    assert p_values == ["0.0"] * 3 + ["0.5"] * 3 + ["1.0"] * 3
+
+
+def test_config_file_pc_sets_the_sweep_grid(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pc": 0.3}))
+    assert run_cli(
+        "sweep", "--config", cfg, "--builders", 2, "--searchers", 2, "--rounds", 30,
+        "--reps", 1, "-o", tmp_path,
+    ) == 0
+    with open(tmp_path / "sweep.csv") as handle:
+        assert {row["p_c"] for row in csv.DictReader(handle)} == {"0.3"}
+
+
+def test_egta_profiles_share_random_streams_across_pc(tmp_path):
+    # replica seeds carry no p_c index: equal p_c values give equal blocks
+    assert run_cli(
+        "egta", "--agents", 2, "--pc", "0.5,0.5", "--alpha", "1", "--reps", 2,
+        "--rounds", 30, "--seed", 4, "-o", tmp_path,
+    ) == 0
+    rows = (tmp_path / "hpt.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert rows[:3] == rows[3:]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["simulate", *SIM_ARGS], []),
+        (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 10, "--pc", "0.5", "--reps", 1],
+         ["pc_grid", "reps"]),
+        (["egta", "--agents", 2, "--pc", "0.5", "--alpha", "1", "--reps", 1, "--rounds", 10],
+         ["agents", "alpha_grid", "reps"]),
+    ],
+    ids=["simulate", "sweep", "egta"],
+)
+def test_manifest_config_keys(tmp_path, argv, extra):
+    assert run_cli(*argv, "-o", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    keys = [
+        "builders", "searchers", "rounds", "pc", "value_rate", "temperature", "learning_rate",
+        "trigger", "elimination", "mutation", "capacity", "seed", "ma_window", "snapshot_every",
+    ]
+    assert list(manifest["config"]) == keys + extra
