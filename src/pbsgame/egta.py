@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .simulation import SimConfig, Simulation, summarize
 from .sweep import replica_rng
 
@@ -172,25 +172,20 @@ class AlphaRankResult:
         return float(self.stationary[1])
 
 
-def stationary_distribution(
-    transition: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
-    """Left fixed point of a row-stochastic matrix, eigen-solve then power fallback."""
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the two-state chain [[1 - p, p], [q, 1 - q]].
+
+    In closed form it is [q, p] / (p + q) (Omidshafiei et al. 2019, alpha-Rank),
+    exact even when both fixation probabilities are tiny; with p + q = 0 no
+    state is ever left and the distribution is uniform.
+    """
     transition = np.asarray(transition, dtype=float)
-    eigvals, eigvecs = np.linalg.eig(transition.T)
-    mask = np.abs(eigvals - 1.0) < 1e-9
-    if mask.sum() == 1:
-        vec = np.real(eigvecs[:, mask]).ravel()
-        vec = np.abs(vec)
-        if vec.sum() > 0:
-            return vec / vec.sum()
-    nu = np.full(transition.shape[0], 1.0 / transition.shape[0])
-    for _ in range(max_iter):
-        nxt = nu @ transition
-        if np.abs(nxt - nu).max() < tol:
-            return nxt / nxt.sum()
-        nu = nxt
-    raise NumericalError("stationary distribution did not converge")
+    if transition.shape != (2, 2):
+        raise ConfigError(f"expected a 2x2 transition matrix, got shape {transition.shape}")
+    p, q = transition[0, 1], transition[1, 0]
+    if p + q == 0:
+        return np.array([0.5, 0.5])
+    return np.array([q, p]) / (p + q)
 
 
 def alpharank(

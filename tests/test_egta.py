@@ -1,6 +1,10 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
+from pbsgame.cli import main
 from pbsgame.egta import (
     AlphaRankResult,
     HeuristicPayoffTable,
@@ -147,6 +151,64 @@ def test_stationary_distribution_direct():
     transition = np.array([[0.9, 0.1], [0.3, 0.7]])
     nu = stationary_distribution(transition)
     assert np.allclose(nu, [0.75, 0.25], atol=1e-10)
+
+
+def two_state(p, q):
+    return np.array([[1.0 - p, p], [q, 1.0 - q]])
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [(1e-20, 1e-18, [100 / 101, 1 / 101]), (1e-11, 1e-10, [10 / 11, 1 / 11]), (0.0, 0.0, [0.5, 0.5])],
+)
+def test_stationary_distribution_nearly_absorbing(p, q, expected):
+    # only the ratio of the two exit probabilities matters, however small they are
+    assert np.allclose(stationary_distribution(two_state(p, q)), expected, rtol=1e-14, atol=0)
+
+
+def test_stationary_distribution_rejects_other_shapes():
+    for transition in (np.eye(3), np.ones(2), [[1.0]]):
+        with pytest.raises(ConfigError):
+            stationary_distribution(transition)
+
+
+def bistable_table():
+    """m = 4; the role that holds the majority earns more, so neither invades."""
+    u_building = {1: 0.1, 2: 0.3, 3: 0.7, 4: 0.6}
+    u_sharing = {0: 0.5, 1: 0.6, 2: 0.3, 3: 0.1}
+    rows = [HptRow(0, 4, None, u_sharing[0], 1)]
+    rows += [HptRow(k, 4 - k, u_building[k], u_sharing[k], 1) for k in range(1, 4)]
+    rows.append(HptRow(4, 0, u_building[4], None, 1))
+    return HeuristicPayoffTable(m=4, rows=tuple(rows))
+
+
+# At alpha 100 the invasion paths of bistable_table sum to 1 + 2e^50 + e^-10
+# (builders invading) and 1 + 2e^60 + e^10 (sharing invading); each
+# fixation probability is the reciprocal.
+BISTABLE_NU_SHARING = (1 + 2 * math.exp(50) + math.exp(-10)) / (
+    (1 + 2 * math.exp(60) + math.exp(10)) + (1 + 2 * math.exp(50) + math.exp(-10))
+)
+
+
+def test_alpharank_bistable_table():
+    result = alpharank(bistable_table(), 100.0)
+    assert result.transition[0, 1] < 1e-26 and result.transition[1, 0] < 1e-21
+    assert result.nu_sharing == pytest.approx(BISTABLE_NU_SHARING, rel=1e-12)
+    assert result.nu_building == pytest.approx(1 - BISTABLE_NU_SHARING, rel=1e-12)
+
+
+def test_egta_hpt_file_bistable_table(tmp_path):
+    hpt_file = tmp_path / "table.csv"
+    with open(hpt_file, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["n_building", "n_sharing", "u_building", "u_sharing", "samples"])
+        for row in bistable_table().rows:
+            cells = [row.n_building, row.n_sharing, row.u_building, row.u_sharing, 1]
+            writer.writerow(["" if cell is None else cell for cell in cells])
+    assert main(["egta", "--hpt-file", str(hpt_file), "--alpha", "100", "-o", str(tmp_path)]) == 0
+    with open(tmp_path / "alpharank.csv") as handle:
+        (row,) = list(csv.DictReader(handle))
+    assert float(row["nu_sharing"]) == pytest.approx(BISTABLE_NU_SHARING, rel=1e-12)
 
 
 def tiny_template(p_c=0.5):
