@@ -21,7 +21,7 @@ GOLDEN = {
     },
     "egta": {
         "hpt.csv": "1b702c74fe3df31154b2e673109d98200db3c982d7c64037efefa449794442e8",
-        "alpharank.csv": "09e671b1516f6da40612a48757480c2545bd5c6d6fd776307e82e9fc6e78143a",
+        "alpharank.csv": "62690d537934b7dd8405a3514c26d34380b3512ad3f324b70d82bb8f66f74e68",
     },
 }
 
