@@ -76,12 +76,11 @@ _FIELDS = {
 }
 _GA_FIELDS = {f.name for f in fields(GAConfig)}
 _TYPES = {**get_type_hints(SimConfig), **get_type_hints(GAConfig)}
+# the only optional field is capacity, which a file may also set to "none"
+_CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "none") else int(v)}
 _RUN_DEFAULTS = {"builders": 10, "searchers": 10, "rounds": 10000}
 _SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "snapshot_every": 1000}
 _GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
-
-
-_CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "none") else int(v)}
 
 
 def _convert(key: str, value, convert):
