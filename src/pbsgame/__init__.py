@@ -26,7 +26,7 @@ from .egta import (
 )
 from .errors import CodecError, ConfigError, NumericalError
 from .evolution import GAConfig, StrategyPool, evolve, select_strategy, update_fitness
-from .market import Bundle, InteractionGraph, Scenario, apply_interaction, draw_scenario
+from .market import Bundle, InteractionGraph, Scenario, draw_scenario
 from .simulation import MetricsSeries, RoundRecord, SimConfig, Simulation, cov
 from .sweep import SweepRow, sweep_conflict
 
@@ -56,7 +56,6 @@ __all__ = [
     "StrategyPool",
     "SweepRow",
     "alpharank",
-    "apply_interaction",
     "bid_ratio",
     "build_block",
     "cov",

@@ -1,11 +1,10 @@
 """Greedy block construction by merging bundles in bid order.
 
 Each builder assembles its block from the searcher bundles it received plus
-its own bundle. Bundles are added highest current bid first; after each
-addition, every remaining bundle's effective value is updated through the
-interaction graph and its bid recomputed, so a conflicted bundle's bid
-collapses together with its value. The loop stops at capacity or when the
-best remaining bundle has no positive value left.
+its own bundle. Bundles are added highest current bid first; an added bundle
+zeroes the value (and so the bid) of every bundle it conflicts with. The loop
+stops at capacity or when the best remaining bundle has no positive value
+left.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .market import InteractionGraph, apply_interaction
+from .market import InteractionGraph
 
 
 @dataclass
@@ -79,21 +78,21 @@ def build_block(
     """Merge pending bundles into a block, greedily by current bid.
 
     Sort order: positive-value bundles first, then bid descending, ties by
-    lower owner index. The input list is not mutated.
+    lower owner index. In a two-point graph an addition leaves every other
+    bundle's value either unchanged or zero, so the order never changes: one
+    sort, then a scan that skips the bundles an earlier addition zeroed,
+    picks exactly what re-sorting after every addition would. The input list
+    is not mutated.
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
 
-    pool = [PendingBundle(b.owner, b.effective_value, b.bid_fraction) for b in pending]
     entries: list[BlockEntry] = []
-    while pool and (capacity is None or len(entries) < capacity):
-        pool.sort(key=lambda b: (b.effective_value <= 0, -b.bid, b.owner))
-        head = pool.pop(0)
-        for other in pool:
-            other.effective_value = apply_interaction(
-                other.effective_value, graph.weight(other.owner, head.owner)
-            )
-        if head.effective_value <= 0:
+    blocked: set[int] = set()
+    for b in sorted(pending, key=lambda b: (b.effective_value <= 0, -b.bid, b.owner)):
+        if b.effective_value <= 0 or len(entries) == capacity:
             break
-        entries.append(BlockEntry(head.owner, head.effective_value, head.bid))
+        if b.owner not in blocked:
+            entries.append(BlockEntry(b.owner, b.effective_value, b.bid))
+            blocked |= graph.conflicts(b.owner)
     return Block(builder=builder, entries=tuple(entries), capacity=capacity)

@@ -95,6 +95,8 @@ def _convert(key: str, value, convert):
 
 def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     """Raw settings: the defaults, then the config file, then the flags given."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     settings = dict(defaults)
     if args.config is not None:
         try:
@@ -272,6 +274,8 @@ def cmd_egta(args: argparse.Namespace) -> int:
         raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
     template, p_values, spec = _grid_config(args)
     alpha_values = parse_grid(args.alpha)
+    if min(alpha_values) <= 0:
+        raise ConfigError(f"ranking intensity must be positive, got {min(alpha_values)}")
     out = _output_dir(args)
     files = []
 
@@ -322,6 +326,9 @@ def cmd_egta(args: argparse.Namespace) -> int:
 def cmd_verify_analytic(args: argparse.Namespace) -> int:
     started = time.monotonic()
     mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
+    points = (args.sign_points, args.mc_points, args.fd_points)
+    if min(points) < 0 or sum(points) == 0:
+        raise ConfigError(f"point counts must be >= 0 with at least one point, got {points}")
     out = _output_dir(args)
     report = verification_report(
         sign_points=args.sign_points,

@@ -11,6 +11,7 @@ single-point crossover, and bit-flip mutation until the pool is full again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,20 +62,33 @@ class StrategyPool:
         return cls(owner, [random_chromosome(width, rng) for _ in range(size)], **params)
 
 
+def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:
+    """Softmax along the last axis; shift-invariant."""
+    weights = np.exp((fitness - fitness.max(axis=-1, keepdims=True)) / temperature)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _roulette(cumulative: np.ndarray, u: np.ndarray) -> list[int]:
+    """The index each u draws: the count of cumulative probabilities <= u, clipped to the last."""
+    picked = np.count_nonzero(cumulative <= u[:, None], axis=-1)
+    return np.minimum(picked, cumulative.shape[-1] - 1).tolist()
+
+
 def selection_probabilities(pool: StrategyPool) -> np.ndarray:
-    """Softmax over fitness at the pool's temperature; shift-invariant."""
-    fitness = np.array([c.fitness for c in pool.strategies])
-    scaled = (fitness - fitness.max()) / pool.temperature
-    weights = np.exp(scaled)
-    return weights / weights.sum()
+    """Softmax over fitness at the pool's temperature."""
+    return _softmax(np.array([c.fitness for c in pool.strategies]), pool.temperature)
+
+
+def select_strategies(pools: Sequence[StrategyPool], rng: np.random.Generator) -> list[int]:
+    """One roulette draw per equal-sized pool; ``rng.random(n)`` equals n scalar draws."""
+    fitness = np.array([[c.fitness for c in pool.strategies] for pool in pools])
+    temperature = np.array([[pool.temperature] for pool in pools])
+    return _roulette(np.cumsum(_softmax(fitness, temperature), axis=1), rng.random(len(pools)))
 
 
 def select_strategy(pool: StrategyPool, rng: np.random.Generator) -> int:
     """Roulette-wheel draw; returns the index of the selected strategy."""
-    probs = selection_probabilities(pool)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(idx, len(pool.strategies) - 1)
+    return select_strategies([pool], rng)[0]
 
 
 def update_fitness(pool: StrategyPool, index: int, payoff: float) -> None:
@@ -123,17 +137,10 @@ def evolve(pool: StrategyPool, config: GAConfig, rng: np.random.Generator) -> No
     dropped = set(order[:n_drop])
     survivors = [c for k, c in enumerate(pool.strategies) if k not in dropped]
 
-    parent_pool = StrategyPool(
-        pool.owner, survivors, pool.temperature, pool.learning_rate
-    )
-    probs = selection_probabilities(parent_pool)
-    cumulative = np.cumsum(probs)
-
+    cumulative = np.cumsum(_softmax(np.array([c.fitness for c in survivors]), pool.temperature))
     offspring: list[Chromosome] = []
     while len(survivors) + len(offspring) < size:
-        draws = rng.random(2)
-        idx_a = min(int(np.searchsorted(cumulative, draws[0], side="right")), len(survivors) - 1)
-        idx_b = min(int(np.searchsorted(cumulative, draws[1], side="right")), len(survivors) - 1)
+        idx_a, idx_b = _roulette(cumulative, rng.random(2))
         child_a, child_b = _crossover(survivors[idx_a], survivors[idx_b], rng)
         offspring.append(_mutate(child_a, config.mutation, rng))
         if len(survivors) + len(offspring) < size:

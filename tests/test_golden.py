@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 of the CSV and JSON files of small fixed-seed CLI runs.
+"""Golden outputs: sha256 of the CSV and JSON files of small fixed-seed CLI runs,
+and of the metric series and pools of two wider in-process runs.
 
 Any change to these digests changes what the simulator computes or writes,
 and has to be deliberate. Every command runs at --jobs 1.
@@ -10,6 +11,9 @@ import json
 import pytest
 
 from pbsgame.cli import main
+from pbsgame.codec import segment_ints
+from pbsgame.evolution import GAConfig
+from pbsgame.simulation import MetricsSeries, SimConfig, Simulation, cov
 
 GOLDEN = {
     "simulate": {
@@ -53,3 +57,53 @@ def test_golden_digests(command, tmp_path):
         for name in GOLDEN[command]
     }
     assert digests == GOLDEN[command]
+
+
+# Wider runs than the CLI commands above: many agents make long greedy scans,
+# and a capacity cuts them short. Each pins the sha256 of the metric series
+# and of the final pool snapshot.
+WIDE = {
+    "20x20-pc0.4": (
+        {"n_builders": 20, "n_searchers": 20, "rounds": 300, "p_c": 0.4, "seed": 3},
+        "ebf87363665f76b422749e011528eded42abec1b5f1ea8dcfdbcfa8d7129db40",
+        "b575087559fd358be9aab2873a8f761b2beb04897d1881b1f7977bc665a0a4ab",
+    ),
+    "12x12-pc0.2-capacity3": (
+        {"n_builders": 12, "n_searchers": 12, "rounds": 300, "p_c": 0.2, "seed": 9, "capacity": 3},
+        "0bdf9552b96082f6c5d79b658afc46974aa2ffa489aa37562bd954410206d071",
+        "396b10270820cf8a0e9bb4397b6264f1357b8a7cd185716361cba5a2f95f1b7f",
+    ),
+}
+
+
+def sha256_json(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_run_digests(name):
+    settings, series_digest, snapshot_digest = WIDE[name]
+    sim = Simulation(SimConfig(**settings))
+    sim.run()
+    assert sha256_json([getattr(sim.metrics, f) for f in MetricsSeries.FIELDS]) == series_digest
+    assert sha256_json(sim.snapshot()) == snapshot_digest
+
+
+@pytest.mark.parametrize("trigger", [1.0, 0.2])
+def test_consensus_metrics_follow_every_ga_step(trigger):
+    # every (or a random fifth of the) pools evolve each round; the per-round
+    # CoV metrics must match a fresh computation from the current pools
+    config = SimConfig(
+        n_builders=3, n_searchers=4, rounds=60, p_c=0.5, seed=2, ga=GAConfig(trigger=trigger)
+    )
+    sim = Simulation(config)
+
+    def fresh(agents, segment):
+        pools = [[segment_ints(c.bits)[segment] for c in sim.pools[a].strategies] for a in agents]
+        return sum(cov(ints) for ints in pools) / len(pools)
+
+    for _ in range(config.rounds):
+        sim.run_round()
+        assert sim.metrics.cov_alpha[-1] == fresh(config.builder_ids, 0)
+        assert sim.metrics.cov_gamma1[-1] == fresh(config.searcher_ids, 0)
+        assert sim.metrics.cov_gamma2[-1] == fresh(config.searcher_ids, 1)

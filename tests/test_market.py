@@ -2,37 +2,7 @@ import numpy as np
 import pytest
 
 from pbsgame.errors import ConfigError
-from pbsgame.market import (
-    Bundle,
-    InteractionGraph,
-    Scenario,
-    apply_interaction,
-    draw_scenario,
-)
-
-
-def test_apply_interaction_full_conflict():
-    assert apply_interaction(0.1, -1.0) == 0.0
-
-
-def test_apply_interaction_independent():
-    assert apply_interaction(0.1, 0.0) == 0.1
-
-
-def test_apply_interaction_altruistic():
-    assert apply_interaction(0.2, 0.5) == pytest.approx(0.3)
-
-
-@pytest.mark.parametrize("value", [0.0, 0.05, 1.7])
-def test_apply_interaction_identity_at_zero_weight(value):
-    assert apply_interaction(value, 0.0) == value
-
-
-def test_apply_interaction_linear_in_value():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        v, w, c = rng.uniform(0, 1, 3)
-        assert apply_interaction(c * v, w) == pytest.approx(c * apply_interaction(v, w))
+from pbsgame.market import Bundle, InteractionGraph, Scenario, draw_scenario
 
 
 def test_draw_scenario_no_conflicts_at_zero():
@@ -103,6 +73,10 @@ def test_graph_validation():
     with pytest.raises(ConfigError):
         InteractionGraph(np.array([[0.0, -2.0], [-2.0, 0.0]]))  # below -1
     with pytest.raises(ConfigError):
+        InteractionGraph(np.array([[0.0, 0.5], [0.5, 0.0]]))  # altruistic: not two-point
+    with pytest.raises(ConfigError):
+        InteractionGraph(np.array([[0.0, -0.5], [-0.5, 0.0]]))  # partial conflict
+    with pytest.raises(ConfigError):
         InteractionGraph.from_conflict_pairs(3, [(1, 1)])
 
 
@@ -112,3 +86,4 @@ def test_graph_conflict_pairs_round_trip():
     assert g.conflict_pairs() == pairs
     assert g.weight(2, 0) == -1.0
     assert g.weight(0, 1) == 0.0
+    assert [g.conflicts(k) for k in range(4)] == [{2}, {3}, {0}, {1}]
