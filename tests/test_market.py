@@ -1,8 +1,35 @@
 import numpy as np
 import pytest
 
+from pbsgame.builder import PendingBundle, build_block
 from pbsgame.errors import ConfigError
 from pbsgame.market import Bundle, InteractionGraph, Scenario, draw_scenario
+
+
+def _after_first(value, graph):
+    """Block of bundle 0 (value 2.0) then bundle 1 (``value``, bid fraction 0.5)."""
+    pending = [PendingBundle(0, 2.0, 1.0), PendingBundle(1, value, 0.5)]
+    return [tuple(e) for e in build_block(0, pending, graph).entries]
+
+
+def test_apply_interaction_full_conflict():
+    # weight -1: once bundle 0 executes, bundle 1 is worth nothing and is left out
+    graph = InteractionGraph.from_conflict_pairs(2, [(0, 1)])
+    assert graph.weight(1, 0) == -1.0 and graph.conflicts(0) == {1}
+    assert _after_first(0.1, graph) == [(0, 2.0, 2.0)]
+
+
+def test_apply_interaction_independent():
+    graph = InteractionGraph.independent(2)
+    assert graph.weight(1, 0) == 0.0 and graph.conflicts(0) == frozenset()
+    assert _after_first(0.1, graph) == [(0, 2.0, 2.0), (1, 0.1, 0.05)]
+
+
+@pytest.mark.parametrize("value", [0.0, 0.05, 1.7])
+def test_apply_interaction_identity_at_zero_weight(value):
+    # an independent bundle keeps its value exactly; a zero-value one is never added
+    expected = [(0, 2.0, 2.0)] + ([(1, value, 0.5 * value)] if value > 0 else [])
+    assert _after_first(value, InteractionGraph.independent(2)) == expected
 
 
 def test_draw_scenario_no_conflicts_at_zero():
