@@ -222,6 +222,8 @@ def verification_report(
             "samples": mc_samples,
             "failures": mc_failures,
             "max_z": max((r["z"] for r in mc_rows), default=0.0),
+            # the chance that a correct closed form fails some point: P(|z| > 3) per point
+            "family_false_alarm": 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** mc_points,
             "rows": mc_rows,
         },
         "fd_check": {"points": fd_points, "max_relative_error": max_fd_error},

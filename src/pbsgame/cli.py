@@ -28,7 +28,7 @@ from .analytic import verification_report
 from .egta import HeuristicPayoffTable, HptRow, estimate_hpt, intensity_sweep
 from .errors import ConfigError, NumericalError
 from .evolution import GAConfig
-from .manifest import write_manifest
+from .manifest import fresh_file, write_manifest
 from .simulation import SimConfig, Simulation, moving_average
 from .sweep import sweep_conflict
 
@@ -148,7 +148,7 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with fresh_file(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -192,7 +192,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         files.append(rounds_path)
 
     pools_path = out / "pools.json"
-    pools_path.write_text(json.dumps(sim.snapshots if sim.snapshots else [sim.snapshot()]))
+    with fresh_file(pools_path) as handle:
+        handle.write(json.dumps(sim.snapshots if sim.snapshots else [sim.snapshot()]))
     files.append(pools_path)
 
     write_manifest(
@@ -247,12 +248,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_hpt_file(path: str) -> HeuristicPayoffTable:
-    rows = []
+def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
+    """One (p_c label, table) pair per p_c value in file order; label "" without a p_c column."""
+    groups: dict[float | None, list[HptRow]] = {}
     try:
         with open(path, newline="") as handle:
             for raw in csv.DictReader(handle):
-                rows.append(
+                p_c = float(raw["p_c"]) if "p_c" in raw else None
+                groups.setdefault(p_c, []).append(
                     HptRow(
                         n_building=int(raw["n_building"]),
                         n_sharing=int(raw["n_sharing"]),
@@ -261,11 +264,14 @@ def _load_hpt_file(path: str) -> HeuristicPayoffTable:
                         samples=int(raw.get("samples") or 0),
                     )
                 )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad payoff table file {path}: {exc}") from exc
-    if not rows:
+    if not groups:
         raise ConfigError(f"payoff table file {path} is empty")
-    return HeuristicPayoffTable(m=rows[0].n_building + rows[0].n_sharing, rows=tuple(rows))
+    return [
+        (_fmt(p_c), HeuristicPayoffTable(m=rows[0].n_building + rows[0].n_sharing, rows=tuple(rows)))
+        for p_c, rows in groups.items()
+    ]
 
 
 def cmd_egta(args: argparse.Namespace) -> int:
@@ -279,9 +285,9 @@ def cmd_egta(args: argparse.Namespace) -> int:
     out = _output_dir(args)
     files = []
 
-    # (p_c cell, payoff table) pairs; a table read from a file has no p_c
+    # (p_c cell, payoff table) pairs
     if args.hpt_file:
-        tables = [("", _load_hpt_file(args.hpt_file))]
+        tables = _load_hpt_file(args.hpt_file)
     else:
         tables = [
             (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
@@ -338,7 +344,8 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report_path = out / "verify.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    with fresh_file(report_path) as handle:
+        handle.write(json.dumps(report, indent=2) + "\n")
     write_manifest(
         out,
         "verify-analytic",

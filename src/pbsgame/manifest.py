@@ -5,6 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import TextIO
+
+
+def fresh_file(path: Path) -> TextIO:
+    """Open ``path`` as a new file for writing; every output goes through this.
+
+    Truncating a non-empty file, or renaming over one, makes ext4
+    (``auto_da_alloc``) flush the old data first, which blocked for tens of ms
+    per file; removing the old file first does not. So a symlinked output path
+    is replaced, not written through. pbsgame never fsyncs, so the only thing
+    given up is that implicit flush-on-truncate.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "x", newline="")
 
 
 def file_checksum(path: Path) -> str:
@@ -35,5 +49,6 @@ def write_manifest(
         "duration_seconds": duration,
     }
     path = output_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    with fresh_file(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return path

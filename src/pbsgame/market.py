@@ -8,9 +8,8 @@ with probability ``p_c`` and is independent (weight 0) otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -91,27 +90,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.bundles)
-
-    def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "n": self.n,
-            "p_c": self.p_c,
-            "values": [b.base_value for b in self.bundles],
-            "conflict_pairs": [list(p) for p in self.graph.conflict_pairs()],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        payload = json.loads(text)
-        values: Sequence[float] = payload["values"]
-        n = int(payload["n"])
-        if len(values) != n:
-            raise ConfigError(f"scenario has {len(values)} values for n={n}")
-        bundles = tuple(Bundle(i, float(v)) for i, v in enumerate(values))
-        graph = InteractionGraph.from_conflict_pairs(n, payload["conflict_pairs"])
-        return cls(bundles=bundles, graph=graph, p_c=float(payload["p_c"]), seed=payload["seed"])
 
 
 def draw_scenario(

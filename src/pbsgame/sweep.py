@@ -8,6 +8,7 @@ many workers execute the replicas or in which order they finish.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,11 +43,24 @@ def replica_rng(master_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, *indices]))
 
 
-def _run_cell(args: tuple[SimConfig, int, int, int]) -> tuple[int, int, dict[str, float]]:
-    base, p_index, repetition, master_seed = args
-    sim = Simulation(base, rng=replica_rng(master_seed, p_index, repetition))
+def _run_replica(task: tuple[SimConfig, int, tuple[int, ...]]) -> dict[str, float]:
+    config, master_seed, indices = task
+    sim = Simulation(config, rng=replica_rng(master_seed, *indices))
     sim.run()
-    return p_index, repetition, summarize(sim)
+    return summarize(sim)
+
+
+def run_replicas(tasks: list[tuple], jobs: int = 1) -> list[dict[str, float]]:
+    """Simulate each (config, master seed, seed indices) task; summaries in task order.
+
+    A task draws from replica_rng(master seed, *seed indices), so the results
+    depend on neither ``jobs`` nor the order in which workers finish. Sweep
+    cells and egta profiles both run here.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_replica, tasks, chunksize=1))
+    return [_run_replica(t) for t in tasks]
 
 
 def sweep_conflict(
@@ -62,19 +76,12 @@ def sweep_conflict(
         if not 0 <= p <= 1:
             raise ConfigError(f"conflict probability must be in [0, 1], got {p}")
 
-    tasks = [
-        (replace(base, p_c=p), ip, rep, base.seed)
-        for ip, p in enumerate(p_values)
-        for rep in range(repetitions)
+    cells = list(itertools.product(range(len(p_values)), range(repetitions)))
+    summaries = run_replicas(
+        [(replace(base, p_c=p_values[ip]), base.seed, (ip, rep)) for ip, rep in cells], jobs
+    )
+    return [
+        SweepRow(p_values[ip], rep, metric, summary[metric])
+        for (ip, rep), summary in zip(cells, summaries)
+        for metric in SWEEP_METRICS
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=1))
-    else:
-        results = [_run_cell(t) for t in tasks]
-
-    rows = []
-    for p_index, repetition, summary in sorted(results, key=lambda r: (r[0], r[1])):
-        for metric in SWEEP_METRICS:
-            rows.append(SweepRow(p_values[p_index], repetition, metric, summary[metric]))
-    return rows

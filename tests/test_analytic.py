@@ -137,6 +137,17 @@ def test_verification_report_smoke():
     assert report["fd_check"]["max_relative_error"] < 1e-4
 
 
+def test_verification_report_states_the_family_false_alarm_rate():
+    # 50 independent |z| > 3 tests: a correct closed form fails one ~12.6% of the time
+    rates = [
+        verification_report(sign_points=0, mc_points=points, mc_samples=1000, fd_points=0)
+        ["mc_check"]["family_false_alarm"]
+        for points in (1, 50)
+    ]
+    assert rates[0] == pytest.approx(math.erfc(3 / math.sqrt(2)), rel=1e-12)
+    assert rates[1] == pytest.approx(0.126, abs=5e-4)
+
+
 def test_two_builder_simulation_reproduces_expected_payoff():
     # frozen strategies, fixed searcher value, independent bundles: the full
     # simulator's mean searcher payoff must match the closed-form market

@@ -153,6 +153,62 @@ def test_egta_hpt_file_neutral_table(tmp_path):
         assert float(row["nu_sharing"]) == pytest.approx(0.5)
 
 
+def test_egta_hpt_file_ranks_every_pc_block(tmp_path):
+    egta = ["egta", "--alpha", "1,10"]
+    assert run_cli(*egta, "--agents", 3, "--pc", "0.1,0.9", "--reps", 1, "--rounds", 200,
+                   "-o", tmp_path / "a") == 0
+    assert run_cli(*egta, "--hpt-file", tmp_path / "a" / "hpt.csv", "-o", tmp_path / "b") == 0
+    ranked = (tmp_path / "b" / "alpharank.csv").read_bytes()
+    assert ranked == (tmp_path / "a" / "alpharank.csv").read_bytes()
+    assert [row["p_c"] for row in csv.DictReader(ranked.decode().splitlines())] == ["0.1"] * 2 + ["0.9"] * 2
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
+        ("0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
+    ],
+    ids=["duplicate-profile", "short-row"],
+)
+def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
+    hpt_file = tmp_path / "hpt.csv"
+    hpt_file.write_text("n_building,n_sharing,u_building,u_sharing,samples\n" + rows)
+    assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1", "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["simulate", *SIM_ARGS], ["metrics.csv", "pools.json"]),
+        (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 30, "--pc", "0.2,0.8",
+          "--reps", 2, "--seed", 4], ["sweep.csv"]),
+        (["egta", "--agents", 2, "--pc", "0.5", "--alpha", "1,10", "--reps", 1, "--rounds", 30],
+         ["hpt.csv", "alpharank.csv"]),
+    ],
+    ids=["simulate", "sweep", "egta"],
+)
+def test_rerun_replaces_older_longer_outputs(tmp_path, argv, names):
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    assert run_cli(*argv, "-o", fresh) == 0
+    rerun.mkdir()
+    for name in [*names, "manifest.json"]:
+        (rerun / name).write_bytes(b"stale row\n" * 100_000)
+    # a symlinked output is replaced by a new file, not written through
+    outside = tmp_path / "outside.csv"
+    outside.write_text("kept\n")
+    (rerun / names[0]).unlink()
+    (rerun / names[0]).symlink_to(outside)
+    assert run_cli(*argv, "-o", rerun) == 0
+    for name in names:
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert not (rerun / names[0]).is_symlink() and outside.read_text() == "kept\n"
+    manifest_checksums_ok(rerun)
+
+
 def test_verify_analytic_report(tmp_path):
     assert run_cli(
         "verify-analytic", "--sign-points", 20, "--mc-points", 2, "--mc-samples", "1e5",

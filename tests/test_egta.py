@@ -17,7 +17,8 @@ from pbsgame.egta import (
     stationary_distribution,
 )
 from pbsgame.errors import ConfigError
-from pbsgame.simulation import SimConfig
+from pbsgame.simulation import SimConfig, Simulation, summarize
+from pbsgame.sweep import replica_rng
 
 
 def full_table(m, u_building, u_sharing):
@@ -229,6 +230,32 @@ def test_estimate_hpt_zero_adopters_absent_and_no_builders_zero():
     all_builders = hpt.row(2)
     assert all_builders.u_sharing is None
     assert all_builders.u_building is not None
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("p_c", [0.1, 0.9])
+@pytest.mark.parametrize("seed", [3, 41])
+def test_no_builder_row_equals_simulating_the_profile(m, p_c, seed):
+    template = SimConfig(n_builders=1, n_searchers=1, rounds=60, p_c=p_c, seed=seed)
+    reps = 2
+    summaries = []
+    for rep in range(reps):  # the profile's replicas, seeded as estimate_hpt seeds them
+        config = SimConfig(n_builders=0, n_searchers=m, rounds=60, p_c=p_c, seed=seed)
+        sim = Simulation(config, rng=replica_rng(seed, 0, rep))
+        sim.run()
+        summaries.append(summarize(sim))
+    simulated = HptRow(
+        0, m, None, float(np.mean([s["searcher_reward"] for s in summaries])), reps,
+        max(s["max_residual"] for s in summaries),
+    )
+    # repr also tells 0.0 from -0.0, which print differently in hpt.csv
+    assert repr(estimate_hpt(m, template, reps=reps, profiles=[0]).row(0)) == repr(simulated)
+
+
+def test_hpt_rejects_duplicate_profiles():
+    rows = full_table(3, 0.2, 0.1).rows
+    with pytest.raises(ConfigError, match="two profiles"):
+        HeuristicPayoffTable(m=3, rows=rows + rows[1:2])
 
 
 def test_estimate_hpt_deterministic_across_jobs():

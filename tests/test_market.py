@@ -3,7 +3,7 @@ import pytest
 
 from pbsgame.builder import PendingBundle, build_block
 from pbsgame.errors import ConfigError
-from pbsgame.market import Bundle, InteractionGraph, Scenario, draw_scenario
+from pbsgame.market import Bundle, InteractionGraph, draw_scenario
 
 
 def _after_first(value, graph):
@@ -78,15 +78,6 @@ def test_draw_scenario_deterministic_given_seed():
 def test_draw_scenario_rejects_bad_config(kwargs):
     with pytest.raises(ConfigError):
         draw_scenario(kwargs["n"], kwargs["p_c"], kwargs["value_rate"], np.random.default_rng(0))
-
-
-def test_scenario_json_round_trip():
-    sc = draw_scenario(6, 0.6, 10.0, 99)
-    back = Scenario.from_json(sc.to_json())
-    assert back.seed == 99
-    assert back.p_c == sc.p_c
-    assert [b.base_value for b in back.bundles] == [b.base_value for b in sc.bundles]
-    assert np.array_equal(back.graph.weights, sc.graph.weights)
 
 
 def test_bundle_rejects_negative_value():

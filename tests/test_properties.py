@@ -3,13 +3,15 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbsgame.auction import conservation_residual, run_auction, settle
 from pbsgame.builder import BlockEntry, PendingBundle, build_block
 from pbsgame.codec import Chromosome
-from pbsgame.evolution import StrategyPool, select_strategies, select_strategy
+from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
+from pbsgame.evolution import GAConfig, StrategyPool, evolve, select_strategies, select_strategy
 from pbsgame.market import InteractionGraph, draw_scenario
 
 # a few repeated levels make equal values and bids (and zero bid fractions) common
@@ -156,3 +158,45 @@ def test_vectorised_conflict_draw_equals_double_loop(n, p_c, seed):
     assert graph.conflict_pairs() == expected
     assert np.array_equal(graph.weights, graph.weights.T)
     assert drawn.random() == rng.random()  # the draw consumed the same stream
+
+
+@st.composite
+def ga_steps(draw):
+    """A pool with tie-prone fitness, a GA config and a seed."""
+    width = draw(st.sampled_from([5, 10]))
+    fitness = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-10.0, 10.0))
+    bits = st.text("01", min_size=width, max_size=width)
+    strategies = [Chromosome(draw(bits), draw(fitness)) for _ in range(draw(st.integers(1, 20)))]
+    ga = GAConfig(trigger=1.0, elimination=draw(st.floats(0.0, 1.0)), mutation=draw(st.floats(0.0, 1.0)))
+    return StrategyPool(0, strategies), ga, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ga_steps())
+def test_evolve_keeps_shape_and_the_top_strategies(step):
+    pool, ga, seed = step
+    before = list(pool.strategies)
+    size, width = len(before), before[0].width
+    evolve(pool, ga, np.random.default_rng(seed))
+    assert len(pool.strategies) == size
+    assert all(c.width == width for c in pool.strategies)
+    # the worst fraction by (fitness, index) goes, always leaving one survivor
+    n_drop = min(int(size * ga.elimination), size - 1)
+    kept = sorted(sorted(range(size), key=lambda k: (before[k].fitness, k))[n_drop:])
+    assert all(a is before[k] for a, k in zip(pool.strategies, kept))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 9),
+    payoffs=st.lists(st.one_of(st.sampled_from([0.0, 0.1]), st.floats(-1.0, 1.0)), min_size=16, max_size=16),
+    alpha=st.floats(0.01, 100.0),
+)
+def test_alpharank_stationary_distribution_is_a_fixed_point(m, payoffs, alpha):
+    rows = [HptRow(0, m, None, 0.0, 1)]
+    rows += [HptRow(k, m - k, payoffs[2 * k - 2], payoffs[2 * k - 1], 1) for k in range(1, m)]
+    rows.append(HptRow(m, 0, 0.0, None, 1))
+    result = alpharank(HeuristicPayoffTable(m=m, rows=tuple(rows)), alpha)
+    nu = result.stationary
+    assert np.all(nu >= 0) and nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(nu @ result.transition, nu, rtol=0.0, atol=1e-12)

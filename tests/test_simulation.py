@@ -15,7 +15,7 @@ from pbsgame.simulation import (
     moving_average,
     summarize,
 )
-from pbsgame.sweep import SWEEP_METRICS, replica_rng, sweep_conflict
+from pbsgame.sweep import SWEEP_METRICS, replica_rng, run_replicas, sweep_conflict
 
 
 def small_config(**overrides):
@@ -186,6 +186,23 @@ def test_replica_rng_is_deterministic_and_index_sensitive():
     c = replica_rng(5, 2, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_replicas_returns_results_in_task_order(jobs):
+    # the long first task finishes last on two workers; indices are not sorted
+    tasks = [
+        (small_config(rounds=240), 7, (2, 1)),
+        (small_config(rounds=20, p_c=0.9), 7, (0, 0)),
+        (small_config(rounds=20, n_builders=2), 8, (1,)),
+        (small_config(rounds=20), 7, (0, 3)),
+    ]
+    expected = []
+    for config, master_seed, indices in tasks:
+        sim = Simulation(config, rng=replica_rng(master_seed, *indices))
+        sim.run()
+        expected.append(summarize(sim))
+    assert run_replicas(tasks, jobs) == expected
 
 
 def test_sweep_shape_and_determinism_across_jobs():
