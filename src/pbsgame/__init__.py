@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .auction import AuctionOutcome, Settlement, run_auction, settle
-from .builder import Block, BlockEntry, PendingBundle, build_block
+from .builder import Block, BlockEntry, build_block
 from .codec import (
     BuilderParams,
     Chromosome,
@@ -26,7 +26,7 @@ from .egta import (
 )
 from .errors import CodecError, ConfigError, NumericalError
 from .evolution import GAConfig, StrategyPool, evolve, select_strategy, update_fitness
-from .market import Bundle, InteractionGraph, Scenario, draw_scenario
+from .market import InteractionGraph, Scenario, draw_scenario
 from .simulation import MetricsSeries, RoundRecord, SimConfig, Simulation, cov
 from .sweep import SweepRow, sweep_conflict
 
@@ -35,7 +35,6 @@ __all__ = [
     "AuctionOutcome",
     "Block",
     "BlockEntry",
-    "Bundle",
     "BuilderParams",
     "Chromosome",
     "CodecError",
@@ -46,7 +45,6 @@ __all__ = [
     "InteractionGraph",
     "MetricsSeries",
     "NumericalError",
-    "PendingBundle",
     "RoundRecord",
     "Scenario",
     "SearcherParams",

@@ -1,10 +1,10 @@
 """Greedy block construction by merging bundles in bid order.
 
-Each builder assembles its block from the searcher bundles it received plus
-its own bundle. Bundles are added highest current bid first; an added bundle
-zeroes the value (and so the bid) of every bundle it conflicts with. The loop
-stops at capacity or when the best remaining bundle has no positive value
-left.
+Each builder assembles its block from the searcher bundles offered to it plus
+its own bundle, each a ``BlockEntry`` of owner, value and bid. Bundles are
+added highest current bid first; an added bundle zeroes the value (and so the
+bid) of every bundle it conflicts with. The loop stops at capacity or when the
+best remaining bundle has no positive value left.
 """
 
 from __future__ import annotations
@@ -16,32 +16,16 @@ from .errors import ConfigError
 from .market import InteractionGraph
 
 
-@dataclass
-class PendingBundle:
-    """A candidate bundle inside one builder's merge loop.
+class BlockEntry(NamedTuple):
+    """A bundle offered to a builder, and as included in its block.
 
-    ``bid_fraction`` is the share of the current effective value offered to
-    the builder: a searcher's sigmoid bid ratio, or 1.0 for the builder's own
-    bundle (it pays itself the full value).
+    ``bid`` is the amount paid to the builder: a searcher's sigmoid bid ratio
+    times ``value``, or the whole value for the builder's own bundle.
     """
 
     owner: int
-    effective_value: float
-    bid_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.bid_fraction <= 1.0:
-            raise ConfigError(f"bid fraction must be in [0, 1], got {self.bid_fraction}")
-
-    @property
-    def bid(self) -> float:
-        return self.bid_fraction * self.effective_value
-
-
-class BlockEntry(NamedTuple):
-    owner: int
-    value: float  # effective value at inclusion
-    bid: float  # amount paid to the builder
+    value: float
+    bid: float
 
 
 @dataclass(frozen=True)
@@ -71,28 +55,32 @@ class Block:
 
 def build_block(
     builder: int,
-    pending: list[PendingBundle],
+    offers: list[BlockEntry],
     graph: InteractionGraph,
     capacity: int | None = None,
 ) -> Block:
-    """Merge pending bundles into a block, greedily by current bid.
+    """Merge offered bundles into a block, greedily by current bid.
 
     Sort order: positive-value bundles first, then bid descending, ties by
     lower owner index. In a two-point graph an addition leaves every other
-    bundle's value either unchanged or zero, so the order never changes: one
-    sort, then a scan that skips the bundles an earlier addition zeroed,
-    picks exactly what re-sorting after every addition would. The input list
-    is not mutated.
+    bundle's value either unchanged or zero, so the order never changes and
+    an included bundle keeps its offered value and bid: one sort, then a scan
+    that skips the bundles an earlier addition zeroed, picks exactly what
+    re-sorting after every addition would. The block holds the included
+    offers themselves; the input list is not mutated.
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
+    for e in offers:
+        if not 0 <= e.bid <= e.value:
+            raise ConfigError(f"bid must be in [0, value], got {e}")
 
     entries: list[BlockEntry] = []
     blocked: set[int] = set()
-    for b in sorted(pending, key=lambda b: (b.effective_value <= 0, -b.bid, b.owner)):
-        if b.effective_value <= 0 or len(entries) == capacity:
+    for e in sorted(offers, key=lambda e: (e.value <= 0, -e.bid, e.owner)):
+        if e.value <= 0 or len(entries) == capacity:
             break
-        if b.owner not in blocked:
-            entries.append(BlockEntry(b.owner, b.effective_value, b.bid))
-            blocked |= graph.conflicts(b.owner)
+        if e.owner not in blocked:
+            entries.append(e)
+            blocked |= graph.conflicts(e.owner)
     return Block(builder=builder, entries=tuple(entries), capacity=capacity)

@@ -285,9 +285,12 @@ def cmd_egta(args: argparse.Namespace) -> int:
     out = _output_dir(args)
     files = []
 
-    # (p_c cell, payoff table) pairs
+    # (p_c cell, payoff table) pairs, and the manifest's config block and seed
     if args.hpt_file:
         tables = _load_hpt_file(args.hpt_file)
+        # nothing is simulated: echo the table ranked, not the unused run settings
+        config = {"hpt_file": args.hpt_file, "pc": [p for p, _ in tables], "alpha_grid": alpha_values}
+        seed = None
     else:
         tables = [
             (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
@@ -305,6 +308,9 @@ def cmd_egta(args: argparse.Namespace) -> int:
             ),
         )
         files.append(hpt_path)
+        config = {**_echo(template), "pc": spec, "agents": args.agents, "alpha_grid": alpha_values,
+                  "reps": args.reps}
+        seed = template.seed
 
     rank_rows = [
         [p, _fmt(result.alpha), _fmt(result.nu_building), _fmt(result.nu_sharing)]
@@ -315,16 +321,7 @@ def cmd_egta(args: argparse.Namespace) -> int:
     _write_csv(rank_path, ["p_c", "alpha", "nu_building", "nu_sharing"], rank_rows)
     files.append(rank_path)
 
-    write_manifest(
-        out,
-        "egta",
-        {**_echo(template), "pc": spec, "agents": args.agents, "alpha_grid": alpha_values,
-         "reps": args.reps},
-        template.seed,
-        files,
-        time.monotonic() - started,
-        __version__,
-    )
+    write_manifest(out, "egta", config, seed, files, time.monotonic() - started, __version__)
     print(f"egta: {len(rank_rows)} alpha-rank rows -> {out}")
     return 0
 

@@ -22,6 +22,7 @@ BUILDER_WIDTH = SEGMENT_BITS
 SEARCHER_WIDTH = 2 * SEGMENT_BITS
 GAMMA1_RANGE = (1.0, 5.0)
 GAMMA2_RANGE = (0.0, 4.0)
+ALPHA_RANGE = (0.0, 1.0)
 
 
 class SearcherParams(NamedTuple):
@@ -56,11 +57,16 @@ def random_chromosome(width: int, rng: np.random.Generator) -> Chromosome:
     return Chromosome(bits=bits)
 
 
+def _linear(d: int, low: float, high: float) -> float:
+    """The segment integer ``d`` (0..31) mapped linearly onto [low, high]."""
+    return low + (d / SEGMENT_MAX) * (high - low)
+
+
 def decode_segment(bits: str, low: float, high: float) -> float:
     """Map one 5-bit segment linearly onto [low, high]."""
     if len(bits) != SEGMENT_BITS or any(c not in "01" for c in bits):
         raise CodecError(f"expected a 5-bit segment, got {bits!r}")
-    return low + (int(bits, 2) / SEGMENT_MAX) * (high - low)
+    return _linear(int(bits, 2), low, high)
 
 
 def encode_segment(value: int) -> str:
@@ -72,7 +78,7 @@ def encode_segment(value: int) -> str:
 
 @lru_cache(maxsize=4096)
 def segment_ints(bits: str) -> tuple[int, ...]:
-    """Decoded integer (0..31) of each 5-bit segment, used for consensus metrics."""
+    """Decoded integer (0..31) of each 5-bit segment; the one cached parse of a genome."""
     if len(bits) % SEGMENT_BITS != 0:
         raise CodecError(f"bit string length must be a multiple of 5, got {len(bits)}")
     return tuple(
@@ -80,28 +86,18 @@ def segment_ints(bits: str) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=4096)
-def decode_searcher_bits(bits: str) -> SearcherParams:
-    if len(bits) != SEARCHER_WIDTH:
-        raise CodecError(f"searcher chromosome must have 10 bits, got {len(bits)}")
-    gamma1 = decode_segment(bits[:SEGMENT_BITS], *GAMMA1_RANGE)
-    gamma2 = decode_segment(bits[SEGMENT_BITS:], *GAMMA2_RANGE)
-    return SearcherParams(gamma1, gamma2)
-
-
-@lru_cache(maxsize=4096)
-def decode_builder_bits(bits: str) -> BuilderParams:
-    if len(bits) != BUILDER_WIDTH:
-        raise CodecError(f"builder chromosome must have 5 bits, got {len(bits)}")
-    return BuilderParams(int(bits, 2) / SEGMENT_MAX)
-
-
 def decode_searcher(chromosome: Chromosome) -> SearcherParams:
-    return decode_searcher_bits(chromosome.bits)
+    if chromosome.width != SEARCHER_WIDTH:
+        raise CodecError(f"searcher chromosome must have 10 bits, got {chromosome.width}")
+    d1, d2 = segment_ints(chromosome.bits)
+    return SearcherParams(_linear(d1, *GAMMA1_RANGE), _linear(d2, *GAMMA2_RANGE))
 
 
 def decode_builder(chromosome: Chromosome) -> BuilderParams:
-    return decode_builder_bits(chromosome.bits)
+    if chromosome.width != BUILDER_WIDTH:
+        raise CodecError(f"builder chromosome must have 5 bits, got {chromosome.width}")
+    (d,) = segment_ints(chromosome.bits)
+    return BuilderParams(_linear(d, *ALPHA_RANGE))
 
 
 def bid_ratio(params: SearcherParams, alpha: float) -> float:

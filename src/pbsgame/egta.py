@@ -178,9 +178,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return np.array([q, p]) / (p + q)
 
 
-def alpharank(
-    hpt: HeuristicPayoffTable, alpha: float, m: int | None = None
-) -> AlphaRankResult:
+def alpharank(hpt: HeuristicPayoffTable, alpha: float) -> AlphaRankResult:
     """Two-strategy alpha-rank over the monomorphic chain.
 
     A mutant's takeover probability is evaluated along the whole invasion
@@ -192,7 +190,7 @@ def alpharank(
     """
     if alpha <= 0:
         raise ConfigError(f"ranking intensity must be positive, got {alpha}")
-    m = hpt.m if m is None else m
+    m = hpt.m
 
     # every mixed profile is consumed; monomorphic rows ground the chain
     hpt.row(0)
@@ -223,7 +221,5 @@ def alpharank(
     return AlphaRankResult(transition=transition, stationary=stationary, alpha=alpha)
 
 
-def intensity_sweep(
-    hpt: HeuristicPayoffTable, alphas: list[float], m: int | None = None
-) -> list[AlphaRankResult]:
-    return [alpharank(hpt, a, m) for a in alphas]
+def intensity_sweep(hpt: HeuristicPayoffTable, alphas: list[float]) -> list[AlphaRankResult]:
+    return [alpharank(hpt, a) for a in alphas]

@@ -50,16 +50,9 @@ class StrategyPool:
             raise ConfigError(f"learning rate must be in [0, 1], got {self.learning_rate}")
 
     @classmethod
-    def random(
-        cls,
-        owner: int,
-        width: int,
-        rng: np.random.Generator,
-        size: int = POOL_SIZE,
-        **params,
-    ) -> "StrategyPool":
-        """A pool of ``size`` random chromosomes; ``params`` sets the remaining fields."""
-        return cls(owner, [random_chromosome(width, rng) for _ in range(size)], **params)
+    def random(cls, owner: int, width: int, rng: np.random.Generator, **params) -> "StrategyPool":
+        """A pool of POOL_SIZE random chromosomes; ``params`` sets the remaining fields."""
+        return cls(owner, [random_chromosome(width, rng) for _ in range(POOL_SIZE)], **params)
 
 
 def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:

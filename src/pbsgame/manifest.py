@@ -33,7 +33,7 @@ def write_manifest(
     output_dir: Path,
     command: str,
     config: dict,
-    seed: int,
+    seed: int | None,
     files: list[Path],
     duration: float,
     version: str,

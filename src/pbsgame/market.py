@@ -1,9 +1,9 @@
-"""Bundles, the pairwise interaction graph, and per-round scenario generation.
+"""The pairwise interaction graph and per-round scenario generation.
 
-A scenario is one round's market state: one bundle per agent with a private
-value drawn from an exponential distribution, plus a symmetric two-point
-conflict graph where each unordered pair of bundles fully conflicts (weight -1)
-with probability ``p_c`` and is independent (weight 0) otherwise.
+A scenario is one round's market state: one bundle per agent, held as its
+private value drawn from an exponential distribution, plus a symmetric
+two-point conflict graph where each unordered pair of bundles fully conflicts
+(weight -1) with probability ``p_c`` and is independent (weight 0) otherwise.
 """
 
 from __future__ import annotations
@@ -14,18 +14,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """A single agent's profit opportunity for one round."""
-
-    owner: int
-    base_value: float
-
-    def __post_init__(self):
-        if self.base_value < 0:
-            raise ConfigError(f"bundle value must be >= 0, got {self.base_value}")
 
 
 class InteractionGraph:
@@ -80,29 +68,30 @@ class InteractionGraph:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One round's bundles and interaction graph."""
+    """One round's bundle values (agent ``i`` owns ``values[i]``) and interaction graph."""
 
-    bundles: tuple[Bundle, ...]
+    values: tuple[float, ...]
     graph: InteractionGraph
-    p_c: float
-    seed: int | None = None
+
+    def __post_init__(self):
+        if len(self.graph.weights) != len(self.values):
+            raise ConfigError(
+                f"graph over {len(self.graph.weights)} bundles for {len(self.values)} values"
+            )
+        for v in self.values:
+            if not v >= 0:
+                raise ConfigError(f"bundle value must be >= 0, got {v}")
 
     @property
     def n(self) -> int:
-        return len(self.bundles)
+        return len(self.values)
 
 
-def draw_scenario(
-    n: int,
-    p_c: float,
-    value_rate: float,
-    rng: np.random.Generator | int,
-) -> Scenario:
+def draw_scenario(n: int, p_c: float, value_rate: float, rng: np.random.Generator) -> Scenario:
     """Draw one round's private values and conflict graph.
 
     Values are i.i.d. Exponential with rate ``value_rate`` (mean 1/rate). Each
-    unordered pair conflicts with probability ``p_c``. Passing an int seeds a
-    fresh generator and records the seed on the scenario.
+    unordered pair conflicts with probability ``p_c``.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 agents, got {n}")
@@ -111,18 +100,11 @@ def draw_scenario(
     if value_rate <= 0:
         raise ConfigError(f"value rate must be positive, got {value_rate}")
 
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
-
-    values = rng.exponential(scale=1.0 / value_rate, size=n)
-    bundles = tuple(Bundle(i, float(v)) for i, v in enumerate(values))
+    values = tuple(rng.exponential(scale=1.0 / value_rate, size=n).tolist())
 
     # one draw per unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order
     rows, cols = np.triu_indices(n, k=1)
     conflict = rng.random(rows.size) < p_c
     weights = np.zeros((n, n))
     weights[rows[conflict], cols[conflict]] = weights[cols[conflict], rows[conflict]] = -1.0
-    graph = InteractionGraph(weights)
-    return Scenario(bundles=bundles, graph=graph, p_c=p_c, seed=seed)
+    return Scenario(values=values, graph=InteractionGraph(weights))

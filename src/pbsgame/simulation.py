@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auction import conservation_residual, run_auction, settle
-from .builder import Block, PendingBundle, build_block
+from .builder import Block, BlockEntry, build_block
 from .codec import (
     BUILDER_WIDTH,
     SEARCHER_WIDTH,
@@ -30,12 +30,14 @@ from .codec import (
     segment_ints,
 )
 from .errors import ConfigError, NumericalError
-from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, select_strategies, update_fitness
+from .evolution import GAConfig, StrategyPool, evolve, select_strategies, update_fitness
 from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
 from .market import Scenario, draw_scenario
 
 # residuals beyond this indicate a settlement bug, not float noise
 _RESIDUAL_HARD_LIMIT = 1e-6
+# fraction of rounds treated as post-convergence by ``summarize``
+FINAL_WINDOW = 0.1
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,7 @@ class SimConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     capacity: int | None = None
     seed: int = 0
-    pool_size: int = POOL_SIZE
     ma_window: int = 200
-    final_window: float = 0.1  # fraction of rounds treated as post-convergence
     record_rounds: bool = False
     snapshot_every: int = 0  # pool snapshot period; 0 disables
 
@@ -69,12 +69,8 @@ class SimConfig:
             raise ConfigError(f"value rate must be positive and finite, got {self.value_rate}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
-        if self.pool_size < 1:
-            raise ConfigError(f"pool size must be >= 1, got {self.pool_size}")
         if self.ma_window < 1:
             raise ConfigError(f"moving-average window must be >= 1, got {self.ma_window}")
-        if not 0 < self.final_window <= 1:
-            raise ConfigError(f"final window fraction must be in (0, 1], got {self.final_window}")
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot period must be >= 0, got {self.snapshot_every}")
 
@@ -176,7 +172,6 @@ class Simulation:
                 agent,
                 BUILDER_WIDTH if config.role_of(agent) == "builder" else SEARCHER_WIDTH,
                 self.rng,
-                size=config.pool_size,
                 temperature=config.temperature,
                 learning_rate=config.learning_rate,
             )
@@ -229,11 +224,14 @@ class Simulation:
         residual = 0.0
         if cfg.n_builders > 0:
             blocks: dict[int, Block] = {}
-            values = [b.base_value for b in scenario.bundles]
+            values = scenario.values
             for jx, j in enumerate(cfg.builder_ids):
-                pending = [PendingBundle(j, values[j], 1.0)]
-                pending += [PendingBundle(i, values[i], betas[i][jx]) for i in cfg.searcher_ids]
-                blocks[j] = build_block(j, pending, scenario.graph, cfg.capacity)
+                # a builder pays itself its bundle's whole value
+                offers = [BlockEntry(j, values[j], values[j])]
+                offers += [
+                    BlockEntry(i, values[i], betas[i][jx] * values[i]) for i in cfg.searcher_ids
+                ]
+                blocks[j] = build_block(j, offers, scenario.graph, cfg.capacity)
             outcome = run_auction(blocks, self.rng)
             settlement = settle(outcome, n, alphas[outcome.winner])
             winner = outcome.winner
@@ -311,17 +309,16 @@ def final_window_mean(series, fraction: float) -> float:
 
 
 def summarize(sim: Simulation) -> dict[str, float]:
-    """Post-convergence averages over the configured final window."""
-    frac = sim.config.final_window
+    """Post-convergence averages over the final FINAL_WINDOW of the rounds."""
     m = sim.metrics
     return {
-        "bid_ratio": final_window_mean(m.avg_bid_ratio, frac),
-        "rebate_ratio": final_window_mean(m.avg_rebate_ratio, frac),
-        "searcher_reward": final_window_mean(m.searcher_reward, frac),
-        "builder_reward": final_window_mean(m.builder_reward, frac),
-        "proposer_reward": final_window_mean(m.proposer_reward, frac),
-        "cov_alpha": final_window_mean(m.cov_alpha, frac),
-        "cov_gamma1": final_window_mean(m.cov_gamma1, frac),
-        "cov_gamma2": final_window_mean(m.cov_gamma2, frac),
+        "bid_ratio": final_window_mean(m.avg_bid_ratio, FINAL_WINDOW),
+        "rebate_ratio": final_window_mean(m.avg_rebate_ratio, FINAL_WINDOW),
+        "searcher_reward": final_window_mean(m.searcher_reward, FINAL_WINDOW),
+        "builder_reward": final_window_mean(m.builder_reward, FINAL_WINDOW),
+        "proposer_reward": final_window_mean(m.proposer_reward, FINAL_WINDOW),
+        "cov_alpha": final_window_mean(m.cov_alpha, FINAL_WINDOW),
+        "cov_gamma1": final_window_mean(m.cov_gamma1, FINAL_WINDOW),
+        "cov_gamma2": final_window_mean(m.cov_gamma2, FINAL_WINDOW),
         "max_residual": sim.max_residual,
     }

@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from pbsgame.analytic import verification_report
-from pbsgame.builder import PendingBundle, build_block
+from pbsgame.builder import BlockEntry, build_block
 from pbsgame.cli import main as cli_main
 from pbsgame.egta import (
     HeuristicPayoffTable,
@@ -167,26 +167,31 @@ def test_criterion_6_analytic_verification():
     assert elapsed < 30
 
 
-def _oracle_best_bid(pending, graph, capacity):
-    n = len(pending)
+def _offers(bundles):
+    return [BlockEntry(i, v, f * v) for i, v, f in bundles]
+
+
+def _oracle_best_bid(bundles, graph, capacity):
+    """Best total bid over every ordered subset of (owner, value, bid fraction) bundles."""
+    n = len(bundles)
     best = 0.0
     limit = n if capacity is None else min(n, capacity)
     for size in range(1, limit + 1):
         for subset in itertools.permutations(range(n), size):
-            values = {k: pending[k].effective_value for k in subset}
+            values = {k: bundles[k][1] for k in subset}
             total = 0.0
             placed = []
             for k in subset:
                 for prior in placed:
-                    values[k] *= 1.0 + graph.weight(pending[k].owner, pending[prior].owner)
-                total += pending[k].bid_fraction * values[k]
+                    values[k] *= 1.0 + graph.weight(bundles[k][0], bundles[prior][0])
+                total += bundles[k][2] * values[k]
                 placed.append(k)
             best = max(best, total)
     return best
 
 
-def _trace_owners(pending, graph, capacity):
-    pool = [[b.owner, b.effective_value, b.bid_fraction] for b in pending]
+def _trace_owners(bundles, graph, capacity):
+    pool = [list(b) for b in bundles]
     chosen = []
     while pool and (capacity is None or len(chosen) < capacity):
         pool.sort(key=lambda d: (d[1] <= 0, -d[2] * d[1], d[0]))
@@ -204,28 +209,22 @@ def test_criterion_7_greedy_against_oracles():
     violations = 0
     for _ in range(1000):
         n = int(rng.integers(2, 7))
-        pending = [
-            PendingBundle(i, float(rng.exponential(0.1)), float(rng.uniform(0, 1)))
-            for i in range(n)
-        ]
+        bundles = [(i, float(rng.exponential(0.1)), float(rng.uniform(0, 1))) for i in range(n)]
         p_c = float(rng.random())
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_c]
         graph = InteractionGraph.from_conflict_pairs(n, pairs)
         capacity = None if rng.random() < 0.7 else int(rng.integers(1, n + 1))
-        block = build_block(0, pending, graph, capacity)
-        if block.total_bid > _oracle_best_bid(pending, graph, capacity) + 1e-12:
+        block = build_block(0, _offers(bundles), graph, capacity)
+        if block.total_bid > _oracle_best_bid(bundles, graph, capacity) + 1e-12:
             violations += 1
     mismatches = 0
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        pending = [
-            PendingBundle(i, float(rng.exponential(0.1)), float(rng.uniform(0, 1)))
-            for i in range(n)
-        ]
+        bundles = [(i, float(rng.exponential(0.1)), float(rng.uniform(0, 1))) for i in range(n)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         graph = InteractionGraph.from_conflict_pairs(n, pairs)
-        block = build_block(0, pending, graph, None)
-        if [e.owner for e in block.entries] != _trace_owners(pending, graph, None):
+        block = build_block(0, _offers(bundles), graph, None)
+        if [e.owner for e in block.entries] != _trace_owners(bundles, graph, None):
             mismatches += 1
     ok = violations == 0 and mismatches == 0
     report(7, ok, f"oracle violations {violations}/1000, trace mismatches {mismatches}/100")

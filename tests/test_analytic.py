@@ -15,10 +15,10 @@ from pbsgame.analytic import (
     sample_market,
     verification_report,
 )
-from pbsgame.codec import Chromosome, bid_ratio, decode_builder_bits, decode_searcher_bits
+from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
 from pbsgame.errors import ConfigError
 from pbsgame.evolution import GAConfig, StrategyPool
-from pbsgame.market import Bundle, InteractionGraph, Scenario
+from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import SimConfig, Simulation
 
 
@@ -153,9 +153,9 @@ def test_two_builder_simulation_reproduces_expected_payoff():
     # simulator's mean searcher payoff must match the closed-form market
     alpha1_bits, alpha2_bits = "10100", "00101"  # 20/31 and 5/31
     searcher_bits = "1010001010"
-    alpha1 = decode_builder_bits(alpha1_bits).alpha
-    alpha2 = decode_builder_bits(alpha2_bits).alpha
-    params = decode_searcher_bits(searcher_bits)
+    alpha1 = decode_builder(Chromosome(alpha1_bits)).alpha
+    alpha2 = decode_builder(Chromosome(alpha2_bits)).alpha
+    params = decode_searcher(Chromosome(searcher_bits))
     v3 = 0.1
     m = OneSidedMarket(
         rate1=10.0,
@@ -181,11 +181,7 @@ def test_two_builder_simulation_reproduces_expected_payoff():
     payoffs = np.empty(n_rounds)
     for t in range(n_rounds):
         v1, v2 = rng.exponential(0.1, 2)
-        scenario = Scenario(
-            bundles=(Bundle(0, float(v1)), Bundle(1, float(v2)), Bundle(2, v3)),
-            graph=graph,
-            p_c=0.0,
-        )
+        scenario = Scenario(values=(float(v1), float(v2), v3), graph=graph)
         payoffs[t] = sim.run_round(scenario).payoffs[2]
     stderr = payoffs.std(ddof=1) / math.sqrt(n_rounds)
     assert abs(payoffs.mean() - expected_searcher_payoff(m)) < 3 * stderr

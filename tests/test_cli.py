@@ -163,6 +163,22 @@ def test_egta_hpt_file_ranks_every_pc_block(tmp_path):
     assert [row["p_c"] for row in csv.DictReader(ranked.decode().splitlines())] == ["0.1"] * 2 + ["0.9"] * 2
 
 
+def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
+    # nothing is simulated, so no run setting or seed belongs in the manifest
+    hpt_file = tmp_path / "hpt.csv"
+    block = "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n"
+    hpt_file.write_text(
+        "p_c,n_building,n_sharing,u_building,u_sharing,samples\n"
+        + "".join(f"{p},{row}\n" for p in ("0.9", "0.1") for row in block.splitlines())
+    )
+    out = tmp_path / "out"
+    assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1,10", "-o", out) == 0
+    manifest = manifest_checksums_ok(out)
+    assert manifest["config"] == {"hpt_file": str(hpt_file), "pc": ["0.9", "0.1"], "alpha_grid": [1.0, 10.0]}
+    assert manifest["master_seed"] is None
+    assert list(manifest["files"]) == ["alpharank.csv"]
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [

@@ -76,6 +76,20 @@ def test_encode_decode_round_trip():
         encode_segment(32)
 
 
+def test_decode_equals_decode_segment_on_every_genome():
+    # every genome the GA can produce, compared exactly with each segment decoded alone
+    for d in range(32):
+        bits = encode_segment(d)
+        assert decode_builder(Chromosome(bits)).alpha == decode_segment(bits, 0.0, 1.0)
+    for d1 in range(32):
+        for d2 in range(32):
+            s1, s2 = encode_segment(d1), encode_segment(d2)
+            assert decode_searcher(Chromosome(s1 + s2)) == (
+                decode_segment(s1, 1.0, 5.0),
+                decode_segment(s2, 0.0, 4.0),
+            )
+
+
 def test_segment_ints():
     assert segment_ints("0010101001") == (5, 9)
     assert segment_ints("11111") == (31,)

@@ -27,6 +27,9 @@ GOLDEN = {
         "hpt.csv": "1b702c74fe3df31154b2e673109d98200db3c982d7c64037efefa449794442e8",
         "alpharank.csv": "62690d537934b7dd8405a3514c26d34380b3512ad3f324b70d82bb8f66f74e68",
     },
+    "simulate-rounds": {
+        "rounds.csv": "dc5465e54c48589c2df5082feeae2362b1e3ee39cb6eead13aec959bda543967",
+    },
 }
 
 # simulate reads part of its settings from a config file that flags override
@@ -40,6 +43,10 @@ COMMANDS = {
     "egta": [
         "egta", "--agents", "3", "--pc", "0.4", "--alpha", "0.1:100:log6", "--reps", "2",
         "--rounds", "80", "--seed", "5",
+    ],
+    "simulate-rounds": [
+        "simulate", "--builders", "3", "--searchers", "4", "--rounds", "120", "--pc", "0.5",
+        "--capacity", "2", "--seed", "8", "--record-rounds",
     ],
 }
 

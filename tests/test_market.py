@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from pbsgame.builder import PendingBundle, build_block
+from pbsgame.builder import BlockEntry, build_block
 from pbsgame.errors import ConfigError
-from pbsgame.market import Bundle, InteractionGraph, draw_scenario
+from pbsgame.market import InteractionGraph, Scenario, draw_scenario
 
 
 def _after_first(value, graph):
     """Block of bundle 0 (value 2.0) then bundle 1 (``value``, bid fraction 0.5)."""
-    pending = [PendingBundle(0, 2.0, 1.0), PendingBundle(1, value, 0.5)]
-    return [tuple(e) for e in build_block(0, pending, graph).entries]
+    offers = [BlockEntry(0, 2.0, 1.0 * 2.0), BlockEntry(1, value, 0.5 * value)]
+    return [tuple(e) for e in build_block(0, offers, graph).entries]
 
 
 def test_apply_interaction_full_conflict():
@@ -46,7 +46,7 @@ def test_draw_scenario_all_conflicts_at_one():
 def test_value_rate_ten_means_one_tenth():
     # 1e5 draws at rate 10 should average 0.1 within the stated band
     rng = np.random.default_rng(42)
-    values = [b.base_value for _ in range(100) for b in draw_scenario(1000, 0.0, 10.0, rng).bundles]
+    values = [v for _ in range(100) for v in draw_scenario(1000, 0.0, 10.0, rng).values]
     assert 0.095 <= np.mean(values) <= 0.105
 
 
@@ -58,11 +58,10 @@ def test_draw_scenario_symmetric_two_point():
 
 
 def test_draw_scenario_deterministic_given_seed():
-    a = draw_scenario(7, 0.4, 10.0, 123)
-    b = draw_scenario(7, 0.4, 10.0, 123)
-    assert [x.base_value for x in a.bundles] == [x.base_value for x in b.bundles]
+    a = draw_scenario(7, 0.4, 10.0, np.random.default_rng(123))
+    b = draw_scenario(7, 0.4, 10.0, np.random.default_rng(123))
+    assert a.values == b.values
     assert np.array_equal(a.graph.weights, b.graph.weights)
-    assert a.seed == b.seed == 123
 
 
 @pytest.mark.parametrize(
@@ -82,7 +81,13 @@ def test_draw_scenario_rejects_bad_config(kwargs):
 
 def test_bundle_rejects_negative_value():
     with pytest.raises(ConfigError):
-        Bundle(0, -0.1)
+        Scenario((0.2, -0.1), InteractionGraph.independent(2))
+
+
+@pytest.mark.parametrize("values", [(0.1, 0.2, 0.3), (0.1,)], ids=["more-values", "fewer-values"])
+def test_scenario_rejects_graph_of_another_size(values):
+    with pytest.raises(ConfigError, match="graph over 2 bundles"):
+        Scenario(values, InteractionGraph.independent(2))
 
 
 def test_graph_validation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbsgame.auction import conservation_residual, run_auction, settle
-from pbsgame.builder import BlockEntry, PendingBundle, build_block
+from pbsgame.builder import BlockEntry, build_block
 from pbsgame.codec import Chromosome
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, StrategyPool, evolve, select_strategies, select_strategy
@@ -21,17 +21,22 @@ FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def instances(draw, max_n=7):
-    """Pending bundles, a random two-point graph over them, and a capacity (None or 1..n)."""
+    """(owner, value, bid fraction) bundles, a random two-point graph over them,
+    and a capacity (None or 1..n)."""
     n = draw(st.integers(1, max_n))
-    pending = [PendingBundle(i, draw(VALUES), draw(FRACTIONS)) for i in range(n)]
+    bundles = [(i, draw(VALUES), draw(FRACTIONS)) for i in range(n)]
     pairs = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
     capacity = draw(st.one_of(st.none(), st.integers(1, n)))
-    return pending, InteractionGraph.from_conflict_pairs(n, pairs), capacity
+    return bundles, InteractionGraph.from_conflict_pairs(n, pairs), capacity
 
 
-def resort_per_pick(pending, graph, capacity):
+def offers(bundles):
+    return [BlockEntry(i, v, f * v) for i, v, f in bundles]
+
+
+def resort_per_pick(bundles, graph, capacity):
     """The iterative greedy: re-sort after every pick and apply v * (1 + w) to the rest."""
-    pool = [[b.owner, b.effective_value, b.bid_fraction] for b in pending]
+    pool = [list(b) for b in bundles]
     chosen = []
     while pool and (capacity is None or len(chosen) < capacity):
         pool.sort(key=lambda d: (d[1] <= 0, -d[2] * d[1], d[0]))
@@ -44,17 +49,17 @@ def resort_per_pick(pending, graph, capacity):
     return chosen
 
 
-def exhaustive_best_bid(pending, graph, capacity):
+def exhaustive_best_bid(bundles, graph, capacity):
     """Best total bid over every ordered subset of bundles."""
     best = 0.0
-    longest = len(pending) if capacity is None else min(len(pending), capacity)
+    longest = len(bundles) if capacity is None else min(len(bundles), capacity)
     for size in range(1, longest + 1):
-        for order in itertools.permutations(pending, size):
-            values = [b.effective_value for b in order]
-            for k, b in enumerate(order):
-                for prior in order[:k]:
-                    values[k] *= 1.0 + graph.weight(b.owner, prior.owner)
-            best = max(best, sum(b.bid_fraction * v for b, v in zip(order, values)))
+        for order in itertools.permutations(bundles, size):
+            values = [value for _, value, _ in order]
+            for k, (owner, _, _) in enumerate(order):
+                for prior, _, _ in order[:k]:
+                    values[k] *= 1.0 + graph.weight(owner, prior)
+            best = max(best, sum(fraction * v for (_, _, fraction), v in zip(order, values)))
     return best
 
 
@@ -69,17 +74,17 @@ def test_two_point_weights_act_exactly(value):
 @settings(max_examples=300, deadline=None)
 @given(instances())
 def test_one_pass_greedy_equals_resort_per_pick(instance):
-    pending, graph, capacity = instance
-    block = build_block(0, pending, graph, capacity)
-    assert list(block.entries) == resort_per_pick(pending, graph, capacity)
+    bundles, graph, capacity = instance
+    block = build_block(0, offers(bundles), graph, capacity)
+    assert list(block.entries) == resort_per_pick(bundles, graph, capacity)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(max_n=5))
 def test_greedy_never_beats_exhaustive_oracle(instance):
-    pending, graph, capacity = instance
-    block = build_block(0, pending, graph, capacity)
-    assert block.total_bid <= exhaustive_best_bid(pending, graph, capacity) + 1e-12
+    bundles, graph, capacity = instance
+    block = build_block(0, offers(bundles), graph, capacity)
+    assert block.total_bid <= exhaustive_best_bid(bundles, graph, capacity) + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,14 +99,14 @@ def test_settlement_conserves_value(n_builders, n_searchers, p_c, capacity, seed
     rng = np.random.default_rng(seed)
     n = n_builders + n_searchers
     scenario = draw_scenario(max(n, 2), p_c, 10.0, rng)  # a scenario has at least two bundles
-    values = [b.base_value for b in scenario.bundles]
+    values = scenario.values
     betas = rng.uniform(0.0, 1.0, size=(n, n_builders))
     alphas = rng.uniform(0.0, 1.0, size=n_builders)
     blocks = {
         j: build_block(
             j,
-            [PendingBundle(j, values[j], 1.0)]
-            + [PendingBundle(i, values[i], float(betas[i, j])) for i in range(n_builders, n)],
+            offers([(j, values[j], 1.0)]
+                   + [(i, values[i], float(betas[i, j])) for i in range(n_builders, n)]),
             scenario.graph,
             capacity,
         )

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pbsgame.codec import Chromosome, bid_ratio, decode_searcher_bits
+from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
 from pbsgame.errors import ConfigError
 from pbsgame.evolution import GAConfig, StrategyPool
-from pbsgame.market import Bundle, InteractionGraph, Scenario
+from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
     SimConfig,
     Simulation,
@@ -124,12 +124,8 @@ def test_single_builder_single_searcher_matches_settlement_formula():
     sim.pools[0] = frozen_pool(0, "10100")  # alpha = 20/31
     sim.pools[1] = frozen_pool(1, "1010001010")
     alpha = 20 / 31
-    beta = bid_ratio(decode_searcher_bits("1010001010"), alpha)
-    scenario = Scenario(
-        bundles=(Bundle(0, 0.2), Bundle(1, 0.1)),
-        graph=InteractionGraph.independent(2),
-        p_c=0.0,
-    )
+    beta = bid_ratio(decode_searcher(Chromosome("1010001010")), alpha)
+    scenario = Scenario(values=(0.2, 0.1), graph=InteractionGraph.independent(2))
     record = sim.run_round(scenario)
     total = 0.2 + beta * 0.1
     assert record.payment == 0.0
@@ -171,11 +167,7 @@ def test_summarize_keys():
 
 def test_scenario_size_checked():
     sim = Simulation(small_config())
-    wrong = Scenario(
-        bundles=(Bundle(0, 0.1), Bundle(1, 0.1)),
-        graph=InteractionGraph.independent(2),
-        p_c=0.0,
-    )
+    wrong = Scenario(values=(0.1, 0.1), graph=InteractionGraph.independent(2))
     with pytest.raises(ConfigError):
         sim.run_round(wrong)
 
