@@ -3,11 +3,12 @@
 With builder values v1 ~ Exp(rate1) and v2 ~ Exp(rate2), the difference
 follows an asymmetric Laplace density. The searcher's expected payoff is a
 piecewise integral against that density, split where the winning builder
-flips; the tails are exponential-polynomial integrals with elementary
-antiderivatives and the finite middle piece is evaluated by adaptive
-quadrature. The derivative of the expected payoff with respect to the bid-gap
-(with the bid to the weaker builder fixed at zero) has a closed form that is
-strictly negative, so bidding the two builders evenly is optimal.
+flips and at zero, where the density changes branch. Every piece integrates
+a linear payoff times an exponential, so the expectation is a sum of
+elementary antiderivatives. The derivative of the expected payoff with
+respect to the bid-gap (with the bid to the weaker builder fixed at zero) has
+a closed form that is strictly negative, so bidding the two builders evenly
+is optimal.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,9 @@ def _payoff_coefficients(market: OneSidedMarket) -> tuple[float, float, float, f
     return a1, market.rebate1, b0, -market.rebate2
 
 
-def _tail_upper(a: float, b: float, c: float, rate: float) -> float:
-    """Integral of (a + b x) e^(-rate x) over [c, inf)."""
-    return math.exp(-rate * c) * ((a + b * c) / rate + b / rate**2)
-
-
-def _tail_lower(a: float, b: float, c: float, rate: float) -> float:
-    """Integral of (a + b x) e^(rate x) over (-inf, c]."""
-    return math.exp(rate * c) * ((a + b * c) / rate - b / rate**2)
-
-
-def _quad_middle(a: float, b: float, rate_sign: float, lo: float, hi: float) -> float:
-    """Adaptive quadrature of (a + b x) e^(rate_sign x) over the finite [lo, hi]."""
-    if lo == hi:
-        return 0.0
-    result = integrate.quad(
-        lambda x: (a + b * x) * math.exp(rate_sign * x),
-        lo,
-        hi,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise NumericalError(f"quadrature failed on [{lo}, {hi}]: {result[3]}")
-    return result[0]
+def _antiderivative(a: float, b: float, rate: float, x: float) -> float:
+    """Antiderivative of (a + b x) e^(rate x) at x; rate is never 0."""
+    return math.exp(rate * x) * ((a + b * x) / rate - b / rate**2)
 
 
 def expected_searcher_payoff(market: OneSidedMarket) -> float:
@@ -112,23 +90,24 @@ def expected_searcher_payoff(market: OneSidedMarket) -> float:
     k = l1 * l2 / (l1 + l2)
     a0, a_slope, b0, b_slope = _payoff_coefficients(market)
     split = -market.delta_beta * v3
-
-    if split <= 0:
-        win1_tail = _tail_upper(a0, a_slope, 0.0, l1)
-        win1_middle = _quad_middle(a0, a_slope, l2, split, 0.0)
-        win2_tail = _tail_lower(b0, b_slope, split, l2)
-        return k * (win1_tail + win1_middle + win2_tail)
-
-    win1_tail = _tail_upper(a0, a_slope, split, l1)
-    win2_middle = _quad_middle(b0, b_slope, -l1, 0.0, split)
-    win2_tail = _tail_lower(b0, b_slope, 0.0, l2)
-    return k * (win1_tail + win2_middle + win2_tail)
+    # builder 1 wins on [split, inf) and the density's branch flips at 0; of
+    # the two middle pieces, the one on the wrong side of 0 has zero width
+    lo, hi = min(split, 0.0), max(split, 0.0)
+    p = _antiderivative
+    return k * (
+        p(b0, b_slope, l2, lo)  # builder 2 wins below both
+        - p(a0, a_slope, -l1, hi)  # builder 1 wins above both
+        + p(a0, a_slope, l2, 0.0) - p(a0, a_slope, l2, lo)  # builder 1 wins on [split, 0)
+        + p(b0, b_slope, -l1, hi) - p(b0, b_slope, -l1, 0.0)  # builder 2 wins on [0, split)
+    )
 
 
 def monte_carlo_searcher_payoff(
     market: OneSidedMarket, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Sample mean and standard error of the searcher payoff."""
+    if n_samples < 2:
+        raise ConfigError(f"a standard error needs at least 2 samples, got {n_samples}")
     if market.value == 0:
         return 0.0, 0.0
     v1 = rng.exponential(1.0 / market.rate1, size=n_samples)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -276,22 +277,23 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
 
 def cmd_egta(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.agents < 2:
-        raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
-    template, p_values, spec = _grid_config(args)
     alpha_values = parse_grid(args.alpha)
-    if min(alpha_values) <= 0:
-        raise ConfigError(f"ranking intensity must be positive, got {min(alpha_values)}")
-    out = _output_dir(args)
-    files = []
+    if not all(0 < alpha < math.inf for alpha in alpha_values):
+        raise ConfigError(f"ranking intensity must be positive and finite, got {args.alpha}")
 
     # (p_c cell, payoff table) pairs, and the manifest's config block and seed
     if args.hpt_file:
         tables = _load_hpt_file(args.hpt_file)
+        out = _output_dir(args)
+        files = []
         # nothing is simulated: echo the table ranked, not the unused run settings
         config = {"hpt_file": args.hpt_file, "pc": [p for p, _ in tables], "alpha_grid": alpha_values}
         seed = None
     else:
+        if args.agents < 2:
+            raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
+        template, p_values, spec = _grid_config(args)
+        out = _output_dir(args)
         tables = [
             (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
             for p in p_values
@@ -307,7 +309,7 @@ def cmd_egta(args: argparse.Namespace) -> int:
                 for row in hpt.rows
             ),
         )
-        files.append(hpt_path)
+        files = [hpt_path]
         config = {**_echo(template), "pc": spec, "agents": args.agents, "alpha_grid": alpha_values,
                   "reps": args.reps}
         seed = template.seed
@@ -329,6 +331,9 @@ def cmd_egta(args: argparse.Namespace) -> int:
 def cmd_verify_analytic(args: argparse.Namespace) -> int:
     started = time.monotonic()
     mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
+    most = np.iinfo(np.intp).max  # numpy cannot size a sample array beyond this
+    if not 2 <= mc_samples <= most:
+        raise ConfigError(f"mc_samples must be in [2, {most}], got {mc_samples}")
     points = (args.sign_points, args.mc_points, args.fd_points)
     if min(points) < 0 or sum(points) == 0:
         raise ConfigError(f"point counts must be >= 0 with at least one point, got {points}")
@@ -407,7 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_egta.add_argument("--pc", help="p_c grid")
     p_egta.add_argument("--alpha", default="0.1:100:log30", help="ranking intensity grid")
     p_egta.add_argument("--reps", type=int, default=10, help="simulations per profile")
-    p_egta.add_argument("--hpt-file", help="skip simulation; rank an existing payoff table CSV")
+    p_egta.add_argument(
+        "--hpt-file",
+        help="skip simulation and rank an existing payoff table CSV; "
+        "the simulation flags do not apply",
+    )
     p_egta.set_defaults(func=cmd_egta)
 
     p_verify = sub.add_parser("verify-analytic", help="check the closed-form market on a grid")

@@ -46,6 +46,10 @@ class HeuristicPayoffTable:
                 raise ConfigError(
                     f"profile ({row.n_building}, {row.n_sharing}) does not sum to {self.m}"
                 )
+            if not all(math.isfinite(u) for u in (row.u_building, row.u_sharing) if u is not None):
+                raise ConfigError(
+                    f"profile ({row.n_building}, {row.n_sharing}) has a non-finite payoff"
+                )
             if row.n_building in seen:
                 raise ConfigError(f"payoff table has two profiles with {row.n_building} builders")
             seen.add(row.n_building)
@@ -188,8 +192,8 @@ def alpharank(hpt: HeuristicPayoffTable, alpha: float) -> AlphaRankResult:
     matters: a profitable first deviant can still fail to take over when two
     of its kind underperform.
     """
-    if alpha <= 0:
-        raise ConfigError(f"ranking intensity must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"ranking intensity must be positive and finite, got {alpha}")
     m = hpt.m
 
     # every mixed profile is consumed; monomorphic rows ground the chain

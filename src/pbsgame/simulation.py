@@ -34,8 +34,9 @@ from .evolution import GAConfig, StrategyPool, evolve, select_strategies, update
 from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
 from .market import Scenario, draw_scenario
 
-# residuals beyond this indicate a settlement bug, not float noise
-_RESIDUAL_HARD_LIMIT = 1e-6
+# residuals beyond this share of the winning block's value (or of 1.0 for a
+# smaller block) indicate a settlement bug, not float noise
+_RESIDUAL_HARD_LIMIT = 1e-12
 # fraction of rounds treated as post-convergence by ``summarize``
 FINAL_WINDOW = 0.1
 
@@ -238,7 +239,7 @@ class Simulation:
             payment = outcome.payment
             payoffs = settlement.payoffs
             residual = conservation_residual(settlement, outcome)
-            if residual > _RESIDUAL_HARD_LIMIT:
+            if residual > _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
                 raise NumericalError(
                     f"payoff conservation violated by {residual:.3e} in round {self.round_index}"
                 )

@@ -66,6 +66,50 @@ def test_no_bids_no_rebates_keeps_everything():
     assert expected_searcher_payoff(m) == pytest.approx(0.17, abs=1e-12)
 
 
+def quadrature_oracle(m):
+    """Adaptive quadrature of the piecewise payoff times the Laplace density."""
+    delta = m.beta1 - m.beta2
+    split = -delta * m.value
+    win1 = (1 - m.beta1) * m.value + m.rebate1 * delta * m.value
+    win2 = (1 - m.beta2) * m.value - m.rebate2 * delta * m.value
+
+    def integrand(x):
+        payoff = win1 + m.rebate1 * x if x >= split else win2 - m.rebate2 * x
+        return payoff * laplace_pdf(x, m.rate1, m.rate2)
+
+    lo, hi = min(split, 0.0), max(split, 0.0)
+    pieces = [(-np.inf, lo), (lo, hi), (hi, np.inf)] if lo < hi else [(-np.inf, lo), (hi, np.inf)]
+    return sum(
+        integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in pieces
+    )
+
+
+def test_expected_payoff_matches_quadrature_oracle():
+    rng = np.random.default_rng(8)
+    signs = set()
+    for t in range(1200):
+        beta1, beta2 = rng.uniform(0, 1, 2)
+        m = OneSidedMarket(
+            rate1=float(rng.uniform(1, 20)),
+            rate2=float(rng.uniform(1, 20)),
+            value=float(10 ** rng.uniform(-6, 0)),
+            beta1=float(beta1),
+            beta2=float(beta1 if t % 3 == 0 else beta2),
+            rebate1=float(rng.uniform(0, 1)),
+            rebate2=float(rng.uniform(0, 1)),
+        )
+        signs.add(np.sign(m.delta_beta))
+        exact, oracle = expected_searcher_payoff(m), quadrature_oracle(m)
+        assert abs(exact - oracle) <= 1e-12 * abs(oracle), (m, exact, oracle)
+    assert signs == {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_monte_carlo_needs_two_samples(n_samples):
+    with pytest.raises(ConfigError, match="2 samples"):
+        monte_carlo_searcher_payoff(market(), n_samples, np.random.default_rng(0))
+
+
 def test_quadrature_matches_monte_carlo_on_spec_point():
     m = market()
     exact = expected_searcher_payoff(m)

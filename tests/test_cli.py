@@ -184,8 +184,9 @@ def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
     [
         ("0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
         ("0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
+        ("0,2,,0.0,1\n1,1,nan,0.1,1\n2,0,0.2,,1\n", "non-finite payoff"),
     ],
-    ids=["duplicate-profile", "short-row"],
+    ids=["duplicate-profile", "short-row", "nan-payoff"],
 )
 def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
     hpt_file = tmp_path / "hpt.csv"
@@ -257,10 +258,15 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["verify-analytic", "--sign-points", 0, "--mc-points", 0, "--fd-points", 0], None,
          "point"),
         (["verify-analytic", "--sign-points", -1, "--mc-points", 1], None, "point"),
+        (["verify-analytic", "--mc-samples", "0"], None, "mc_samples"),
+        (["verify-analytic", "--mc-samples", "1"], None, "mc_samples"),
+        (["verify-analytic", "--mc-samples", "-5"], None, "mc_samples"),
+        (["verify-analytic", "--mc-samples", "1e20"], None, "mc_samples"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
-         "verify-no-points", "verify-negative-points"],
+         "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
+         "mc-samples-negative", "mc-samples-1e20"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
@@ -277,11 +283,26 @@ def test_egta_rejects_bad_alpha_before_simulating(tmp_path, capsys, monkeypatch)
         raise AssertionError("egta simulated before checking the alpha grid")
 
     monkeypatch.setattr("pbsgame.cli.estimate_hpt", no_simulation)
-    assert run_cli("egta", "--agents", 2, "--alpha=-1", "--rounds", 30, "-o", tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "ranking intensity" in err
-    assert not (tmp_path / "hpt.csv").exists()
+    for alpha in ("-1", "nan"):
+        assert run_cli("egta", "--agents", 2, "--alpha=" + alpha, "--rounds", 30, "-o", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "ranking intensity" in err
+        assert not (tmp_path / "hpt.csv").exists()
+
+
+def test_egta_hpt_file_ignores_simulation_flags(tmp_path):
+    # nothing is simulated, so run-size flags are neither validated nor used
+    hpt_file = tmp_path / "hpt.csv"
+    hpt_file.write_text(
+        "n_building,n_sharing,u_building,u_sharing,samples\n"
+        "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n"
+    )
+    egta = ["egta", "--hpt-file", hpt_file, "--alpha", "1,10"]
+    assert run_cli(*egta, "-o", tmp_path / "plain") == 0
+    assert run_cli(*egta, "--agents", 1, "--rounds", 0, "-o", tmp_path / "flagged") == 0
+    plain = (tmp_path / "plain" / "alpharank.csv").read_bytes()
+    assert (tmp_path / "flagged" / "alpharank.csv").read_bytes() == plain
 
 
 def test_egta_pc_grid(tmp_path):

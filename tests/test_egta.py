@@ -136,8 +136,9 @@ def test_alpharank_requires_complete_mixed_rows():
 
 
 def test_alpharank_rejects_bad_intensity():
-    with pytest.raises(ConfigError):
-        alpharank(full_table(4, 0.1, 0.1), 0.0)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            alpharank(full_table(4, 0.1, 0.1), alpha)
 
 
 def test_hpt_validation():
@@ -146,6 +147,9 @@ def test_hpt_validation():
     table = full_table(4, 0.1, 0.2)
     with pytest.raises(ConfigError):
         table.row(9)
+    for payoff in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="non-finite payoff"):
+            HeuristicPayoffTable(m=1, rows=(HptRow(0, 1, None, payoff, 1),))
 
 
 def test_stationary_distribution_direct():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pbsgame.auction import Settlement, settle
 from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
-from pbsgame.errors import ConfigError
+from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig, StrategyPool
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
@@ -137,6 +138,26 @@ def test_conservation_tracked_each_round():
     sim = Simulation(small_config(rounds=200, p_c=0.7))
     sim.run()
     assert sim.max_residual <= 1e-12
+
+
+def test_conservation_guard_catches_a_tiny_leak(monkeypatch):
+    def leaky_settle(outcome, n_agents, rebate_ratio):
+        settlement = settle(outcome, n_agents, rebate_ratio)
+        payoffs = list(settlement.payoffs)
+        payoffs[outcome.winner] += 1e-9
+        return Settlement(payoffs=tuple(payoffs), proposer=settlement.proposer)
+
+    monkeypatch.setattr("pbsgame.simulation.settle", leaky_settle)
+    with pytest.raises(NumericalError, match="conservation"):
+        Simulation(small_config(rounds=5)).run()
+
+
+def test_conservation_guard_scales_with_block_value():
+    # bundle values ~1e9: float noise of ~1e-6 is far above an absolute 1e-12,
+    # yet far below 1e-12 of the block's value, so the correct run passes
+    sim = Simulation(small_config(rounds=200, value_rate=1e-9))
+    sim.run()
+    assert sim.max_residual > 1e-12
 
 
 def test_records_only_when_enabled():
