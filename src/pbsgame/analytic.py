@@ -59,6 +59,8 @@ def laplace_pdf(x: float, rate1: float, rate2: float) -> float:
 
 
 def laplace_cdf(x: float, rate1: float, rate2: float) -> float:
+    if rate1 <= 0 or rate2 <= 0:
+        raise ConfigError("rates must be positive")
     if x < 0:
         return rate1 / (rate1 + rate2) * math.exp(rate2 * x)
     return 1.0 - rate2 / (rate1 + rate2) * math.exp(-rate1 * x)
@@ -105,17 +107,39 @@ def expected_searcher_payoff(market: OneSidedMarket) -> float:
 def monte_carlo_searcher_payoff(
     market: OneSidedMarket, n_samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Sample mean and standard error of the searcher payoff."""
+    """Sample mean and standard error of the searcher payoff.
+
+    One call holds two n-float buffers and one n-bool mask, and works in place
+    after the draws. Its result and the state it leaves in ``rng`` equal, bit
+    for bit, those of the plain form: ``rng.exponential(1 / rate, n)`` draws
+    (numpy defines them as scale times ``standard_exponential``), an
+    ``np.where`` merge of the two branches, ``mean()`` and ``std(ddof=1)``.
+    """
     if n_samples < 2:
         raise ConfigError(f"a standard error needs at least 2 samples, got {n_samples}")
     if market.value == 0:
         return 0.0, 0.0
-    v1 = rng.exponential(1.0 / market.rate1, size=n_samples)
-    v2 = rng.exponential(1.0 / market.rate2, size=n_samples)
-    x = v1 - v2
+    try:
+        x = rng.standard_exponential(n_samples)
+        other = rng.standard_exponential(n_samples)
+        below = np.empty(n_samples, dtype=bool)
+    except MemoryError:
+        raise ConfigError(f"mc_samples {n_samples} is too large to hold in memory") from None
+    x *= 1.0 / market.rate1
+    other *= 1.0 / market.rate2
+    x -= other  # x = v1 - v2
+    np.less(x, -market.delta_beta * market.value, out=below)  # builder 2 wins
     a0, a_slope, b0, b_slope = _payoff_coefficients(market)
-    payoff = np.where(x >= -market.delta_beta * market.value, a0 + a_slope * x, b0 + b_slope * x)
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n_samples))
+    payoff = np.multiply(x, a_slope, out=other)
+    payoff += a0
+    x *= b_slope
+    x += b0
+    np.copyto(payoff, x, where=below)
+    mean = payoff.mean()
+    payoff -= mean
+    payoff *= payoff
+    stderr = math.sqrt(payoff.sum() / (n_samples - 1)) / math.sqrt(n_samples)
+    return float(mean), stderr
 
 
 def payoff_derivative(market: OneSidedMarket) -> float:

@@ -331,7 +331,8 @@ def cmd_egta(args: argparse.Namespace) -> int:
 def cmd_verify_analytic(args: argparse.Namespace) -> int:
     started = time.monotonic()
     mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
-    most = np.iinfo(np.intp).max  # numpy cannot size a sample array beyond this
+    # numpy cannot size a float64 sample array beyond this many bytes
+    most = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
     if not 2 <= mc_samples <= most:
         raise ConfigError(f"mc_samples must be in [2, {most}], got {mc_samples}")
     points = (args.sign_points, args.mc_points, args.fd_points)

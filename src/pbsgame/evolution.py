@@ -67,11 +67,6 @@ def _roulette(cumulative: np.ndarray, u: np.ndarray) -> list[int]:
     return np.minimum(picked, cumulative.shape[-1] - 1).tolist()
 
 
-def selection_probabilities(pool: StrategyPool) -> np.ndarray:
-    """Softmax over fitness at the pool's temperature."""
-    return _softmax(np.array([c.fitness for c in pool.strategies]), pool.temperature)
-
-
 def select_strategies(pools: Sequence[StrategyPool], rng: np.random.Generator) -> list[int]:
     """One roulette draw per equal-sized pool; ``rng.random(n)`` equals n scalar draws."""
     fitness = np.array([[c.fitness for c in pool.strategies] for pool in pools])

@@ -48,6 +48,12 @@ def test_pdf_rejects_bad_rates():
         laplace_pdf(0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("rate1, rate2", [(-1.0, 2.0), (0.0, 0.0)])
+def test_cdf_rejects_bad_rates(rate1, rate2):
+    with pytest.raises(ConfigError, match="rates must be positive"):
+        laplace_cdf(0.5, rate1, rate2)
+
+
 def market(**kwargs):
     base = dict(rate1=10.0, rate2=10.0, value=0.1, beta1=0.3, beta2=0.1,
                 rebate1=0.5, rebate2=0.5)

@@ -262,11 +262,15 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["verify-analytic", "--mc-samples", "1"], None, "mc_samples"),
         (["verify-analytic", "--mc-samples", "-5"], None, "mc_samples"),
         (["verify-analytic", "--mc-samples", "1e20"], None, "mc_samples"),
+        # in range for an array index, but no address space holds 6.9 EiB: nothing is allocated
+        (["verify-analytic", "--mc-samples", "1e18"], None, "mc_samples"),
+        # the array index fits in intp, its byte size does not
+        (["verify-analytic", "--mc-samples", "2e18"], None, "mc_samples"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
          "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
-         "mc-samples-negative", "mc-samples-1e20"],
+         "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:

@@ -8,10 +8,10 @@ from pbsgame.errors import ConfigError
 from pbsgame.evolution import (
     GAConfig,
     StrategyPool,
+    _softmax,
     evolve,
     select_strategies,
     select_strategy,
-    selection_probabilities,
     update_fitness,
 )
 
@@ -21,16 +21,21 @@ def pool_of(fitness_values, bits="00000", **kwargs):
     return StrategyPool(0, strategies, **kwargs)
 
 
+def probabilities(pool):
+    """Softmax over the pool's fitness at its temperature."""
+    return _softmax(np.array([c.fitness for c in pool.strategies]), pool.temperature)
+
+
 def test_uniform_selection_when_fitness_equal():
     pool = pool_of([1.0] * 20)
-    probs = selection_probabilities(pool)
+    probs = probabilities(pool)
     assert np.allclose(probs, 0.05)
 
 
 def test_softmax_closed_form_two_strategies():
     # fitness gap of T*ln 2 doubles the selection odds
     pool = pool_of([1.0, 1.0 + 2.0 * math.log(2)], temperature=2.0)
-    probs = selection_probabilities(pool)
+    probs = probabilities(pool)
     assert probs[0] == pytest.approx(1 / 3)
     assert probs[1] == pytest.approx(2 / 3)
 
@@ -56,8 +61,8 @@ def test_selection_frequencies_follow_probabilities():
 def test_softmax_shift_invariance():
     base = pool_of(list(np.linspace(0, 0.5, 20)))
     shifted = pool_of(list(np.linspace(0, 0.5, 20) + 123.0))
-    assert np.allclose(selection_probabilities(base), selection_probabilities(shifted))
-    assert selection_probabilities(base).sum() == pytest.approx(1.0)
+    assert np.allclose(probabilities(base), probabilities(shifted))
+    assert probabilities(base).sum() == pytest.approx(1.0)
 
 
 def test_update_fitness_arithmetic():
@@ -174,6 +179,6 @@ class TopDraw:
 def test_selection_clips_to_last_strategy():
     # ten equal weights sum to just under 1, so the top draw passes every cumulative bound
     pool = pool_of([0.0] * 10)
-    assert np.cumsum(selection_probabilities(pool))[-1] <= np.nextafter(1.0, 0.0)
+    assert np.cumsum(probabilities(pool))[-1] <= np.nextafter(1.0, 0.0)
     assert select_strategies([pool, pool], TopDraw()) == [9, 9]
     assert select_strategy(pool, TopDraw()) == 9

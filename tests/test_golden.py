@@ -30,6 +30,9 @@ GOLDEN = {
     "simulate-rounds": {
         "rounds.csv": "dc5465e54c48589c2df5082feeae2362b1e3ee39cb6eead13aec959bda543967",
     },
+    "verify-analytic": {
+        "verify.json": "971db5dc6a47aef17fb0eca8f610b4a21ea53287c6b6208a17180cba278e62c6",
+    },
 }
 
 # simulate reads part of its settings from a config file that flags override
@@ -47,6 +50,11 @@ COMMANDS = {
     "simulate-rounds": [
         "simulate", "--builders", "3", "--searchers", "4", "--rounds", "120", "--pc", "0.5",
         "--capacity", "2", "--seed", "8", "--record-rounds",
+    ],
+    # an odd sample count, so the Monte Carlo sums end off numpy's 8-wide blocks
+    "verify-analytic": [
+        "verify-analytic", "--sign-points", "20", "--mc-points", "5", "--mc-samples", "1001",
+        "--fd-points", "5", "--seed", "3",
     ],
 }
 

@@ -1,12 +1,14 @@
 """Property tests of the round's core invariants, each against a plain reference."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbsgame.analytic import OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, run_auction, settle
 from pbsgame.builder import BlockEntry, build_block
 from pbsgame.codec import Chromosome
@@ -205,3 +207,58 @@ def test_alpharank_stationary_distribution_is_a_fixed_point(m, payoffs, alpha):
     nu = result.stationary
     assert np.all(nu >= 0) and nu.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(nu @ result.transition, nu, rtol=0.0, atol=1e-12)
+
+
+def monte_carlo_by_where(market, n, rng):
+    """The sample mean and standard error as plain expressions: fresh arrays throughout."""
+    if market.value == 0:
+        return 0.0, 0.0
+    v1 = rng.exponential(1.0 / market.rate1, size=n)
+    v2 = rng.exponential(1.0 / market.rate2, size=n)
+    x = v1 - v2
+    a0, a_slope, b0, b_slope = _payoff_coefficients(market)
+    payoff = np.where(x >= -market.delta_beta * market.value, a0 + a_slope * x, b0 + b_slope * x)
+    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n))
+
+
+@st.composite
+def markets(draw):
+    unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rebate = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+    return OneSidedMarket(
+        rate1=draw(st.floats(0.05, 50.0)),
+        rate2=draw(st.floats(0.05, 50.0)),
+        value=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        beta1=draw(unit),
+        beta2=draw(unit),
+        rebate1=draw(rebate),
+        rebate2=draw(rebate),
+    )
+
+
+# odd n, n off multiples of 8 and 128 (numpy's pairwise-sum block), and sizes
+# either side of them
+SAMPLE_COUNTS = st.one_of(
+    st.sampled_from([2, 3, 7, 8, 9, 127, 128, 129, 255, 1001, 1023, 1024, 1025, 4097]),
+    st.integers(2, 5000),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(market=markets(), n=SAMPLE_COUNTS, seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_kernel_matches_plain_expressions(market, n, seed):
+    kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert monte_carlo_searcher_payoff(market, n, kernel_rng) == monte_carlo_by_where(
+        market, n, reference_rng
+    )
+    assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=SAMPLE_COUNTS, seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_zero_value_market_draws_nothing(n, seed):
+    market = OneSidedMarket(2.0, 3.0, 0.0, 0.4, 0.1, 0.5, 0.5)
+    rng = np.random.default_rng(seed)
+    untouched = rng.bit_generator.state
+    assert monte_carlo_searcher_payoff(market, n, rng) == (0.0, 0.0)
+    assert rng.bit_generator.state == untouched
