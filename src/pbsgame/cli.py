@@ -34,6 +34,10 @@ from .simulation import SimConfig, Simulation, moving_average
 from .sweep import sweep_conflict
 
 
+# the most points one grid may hold; its size is checked before it is built
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec: str) -> list[float]:
     """Parse a value grid: a number, a comma list, start:stop:step, or start:stop:logN."""
     spec = spec.strip()
@@ -43,15 +47,23 @@ def parse_grid(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("grid must be start:stop:step or start:stop:logN")
             start, stop = float(parts[0]), float(parts[1])
-            if parts[2].startswith("log"):
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError("grid bounds must be finite")
+            log = parts[2].startswith("log")
+            if log:
                 count = int(parts[2][3:])
                 if count < 1 or start <= 0 or stop <= 0:
                     raise ValueError("log grid needs positive bounds and count >= 1")
+            else:
+                step = float(parts[2])
+                if not step > 0:
+                    raise ValueError("grid step must be positive")
+                span = (stop - start) / step  # inf for a step far below the span
+                count = round(span) + 1 if math.isfinite(span) else math.inf
+            if count > MAX_GRID_POINTS:
+                raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+            if log:
                 return [float(v) for v in np.geomspace(start, stop, count)]
-            step = float(parts[2])
-            if step <= 0:
-                raise ValueError("grid step must be positive")
-            count = int(round((stop - start) / step)) + 1
             values = [round(start + k * step, 10) for k in range(count)]
             values = [v for v in values if v <= stop + 1e-9]
         elif "," in spec:

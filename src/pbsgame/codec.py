@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,3 +108,29 @@ def bid_ratio(params: SearcherParams, alpha: float) -> float:
     """
     base = 1.0 / (1.0 + params.gamma1 ** (-alpha))
     return base**params.gamma2
+
+
+# row s: the bid ratio of searcher genome s towards each builder genome, a pure
+# cache; a row is filled on first use (np.empty touches no page until then)
+_BID_TABLE = np.empty((2**SEARCHER_WIDTH, 2**BUILDER_WIDTH))
+_BID_FILLED = np.zeros(2**SEARCHER_WIDTH, dtype=bool)
+
+
+def bid_ratios(searchers: Sequence[Chromosome], builders: Sequence[Chromosome]) -> np.ndarray:
+    """The ``(searchers, builders)`` matrix of ``bid_ratio`` between decoded genomes.
+
+    A genome's bits, read most-significant first, index a table with one row
+    per searcher genome. A row is filled on first use with the scalar
+    ``bid_ratio`` (Python's ``**``), so every entry is exact.
+    """
+    rows = np.array([int(c.bits, 2) for c in searchers], dtype=np.intp)
+    cols = np.array([int(c.bits, 2) for c in builders], dtype=np.intp)
+    for code in set(rows[~_BID_FILLED[rows]].tolist()):
+        params = SearcherParams(
+            _linear(code >> SEGMENT_BITS, *GAMMA1_RANGE), _linear(code & SEGMENT_MAX, *GAMMA2_RANGE)
+        )
+        _BID_TABLE[code] = [
+            bid_ratio(params, _linear(d, *ALPHA_RANGE)) for d in range(2**BUILDER_WIDTH)
+        ]
+        _BID_FILLED[code] = True
+    return _BID_TABLE[rows[:, None], cols]

@@ -9,6 +9,7 @@ two-point conflict graph where each unordered pair of bundles fully conflicts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -33,8 +34,6 @@ class InteractionGraph:
             raise ConfigError("interaction weights must be -1 (conflict) or 0 (independent)")
         self._weights = weights
         self._weights.setflags(write=False)
-        # column k: the bundles whose value drops to 0 once bundle k executes
-        self._conflicts = tuple(frozenset(np.flatnonzero(col).tolist()) for col in weights.T)
 
     @property
     def weights(self) -> np.ndarray:
@@ -43,9 +42,23 @@ class InteractionGraph:
     def weight(self, i: int, j: int) -> float:
         return float(self._weights[i, j])
 
+    @cached_property
+    def conflict_masks(self) -> tuple[int, ...]:
+        """Per bundle ``k``, the bundles it zeroes when it executes as an int
+        bitmask (bit ``i`` set: bundle ``i``); column ``k`` of the weights,
+        computed on first use."""
+        packed = np.packbits(self._weights.T < 0, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        return tuple(
+            int.from_bytes(data[k * width : (k + 1) * width], "little")
+            for k in range(len(packed))
+        )
+
     def conflicts(self, k: int) -> frozenset[int]:
         """The bundles that bundle ``k`` zeroes when it executes."""
-        return self._conflicts[k]
+        mask = self.conflict_masks[k]
+        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     @classmethod
     def independent(cls, n: int) -> "InteractionGraph":
@@ -87,6 +100,15 @@ class Scenario:
         return len(self.values)
 
 
+@lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def draw_scenario(n: int, p_c: float, value_rate: float, rng: np.random.Generator) -> Scenario:
     """Draw one round's private values and conflict graph.
 
@@ -103,7 +125,7 @@ def draw_scenario(n: int, p_c: float, value_rate: float, rng: np.random.Generato
     values = tuple(rng.exponential(scale=1.0 / value_rate, size=n).tolist())
 
     # one draw per unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _pair_indices(n)
     conflict = rng.random(rows.size) < p_c
     weights = np.zeros((n, n))
     weights[rows[conflict], cols[conflict]] = weights[cols[conflict], rows[conflict]] = -1.0

@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auction import conservation_residual, run_auction, settle
-from .builder import Block, BlockEntry, build_block
+from .builder import build_block, rank_offers
 from .codec import (
     BUILDER_WIDTH,
     SEARCHER_WIDTH,
     SearcherParams,
-    bid_ratio,
+    bid_ratios,
     decode_builder,
     decode_searcher,
     segment_ints,
 )
+from .codec import bid_ratio  # noqa: F401  the benchmark's layer probes wrap this name
 from .errors import ConfigError, NumericalError
 from .evolution import GAConfig, StrategyPool, evolve, select_strategies, update_fitness
 from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
@@ -205,34 +206,32 @@ class Simulation:
 
         # strategy selection, one softmax draw per agent in index order
         chosen = select_strategies(self.pools, self.rng)
+        genomes = [pool.strategies[k] for pool, k in zip(self.pools, chosen)]
+        n_b = cfg.n_builders
 
-        alphas = {
-            j: decode_builder(self.pools[j].strategies[chosen[j]]).alpha
-            for j in cfg.builder_ids
-        }
-        gammas = {
-            i: decode_searcher(self.pools[i].strategies[chosen[i]])
-            for i in cfg.searcher_ids
-        }
-        betas = {
-            i: tuple(bid_ratio(gammas[i], alphas[j]) for j in cfg.builder_ids)
-            for i in cfg.searcher_ids
-        }
+        alphas = [decode_builder(genomes[j]).alpha for j in cfg.builder_ids]
+        gammas = {i: decode_searcher(genomes[i]) for i in cfg.searcher_ids}
+        betas = bid_ratios(genomes[n_b:], genomes[:n_b])
 
         winner: int | None = None
         payment = 0.0
         payoffs = tuple(0.0 for _ in range(n))
         residual = 0.0
-        if cfg.n_builders > 0:
-            blocks: dict[int, Block] = {}
+        if n_b > 0:
             values = scenario.values
-            for jx, j in enumerate(cfg.builder_ids):
-                # a builder pays itself its bundle's whole value
-                offers = [BlockEntry(j, values[j], values[j])]
-                offers += [
-                    BlockEntry(i, values[i], betas[i][jx] * values[i]) for i in cfg.searcher_ids
-                ]
-                blocks[j] = build_block(j, offers, scenario.graph, cfg.capacity)
+            # row j: the offers to builder j in owner order, its own bundle
+            # (bid at its whole value) then every searcher's
+            offer_values = np.empty((n_b, n - n_b + 1))
+            offer_values[:, 0] = values[:n_b]
+            offer_values[:, 1:] = values[n_b:]
+            offer_bids = offer_values.copy()
+            offer_bids[:, 1:] *= betas.T
+            orders = rank_offers(offer_values, offer_bids).tolist()
+            owners = tuple(cfg.searcher_ids)
+            blocks = {}
+            for j, bids in enumerate(offer_bids.tolist()):
+                offers = list(zip((j, *owners), (values[j], *values[n_b:]), bids))
+                blocks[j] = build_block(j, offers, scenario.graph, cfg.capacity, orders[j])
             outcome = run_auction(blocks, self.rng)
             settlement = settle(outcome, n, alphas[outcome.winner])
             winner = outcome.winner
@@ -254,8 +253,8 @@ class Simulation:
             self._covs[agent] = None
 
         m = self.metrics
-        m.avg_bid_ratio.append(_mean([b for row in betas.values() for b in row]))
-        m.avg_rebate_ratio.append(_mean(list(alphas.values())))
+        m.avg_bid_ratio.append(_mean(betas.ravel().tolist()))
+        m.avg_rebate_ratio.append(_mean(alphas))
         m.cov_alpha.append(_mean([self._pool_covs(j)[0] for j in cfg.builder_ids]))
         m.cov_gamma1.append(_mean([self._pool_covs(i)[0] for i in cfg.searcher_ids]))
         m.cov_gamma2.append(_mean([self._pool_covs(i)[1] for i in cfg.searcher_ids]))
@@ -265,9 +264,9 @@ class Simulation:
 
         record = RoundRecord(
             index=self.round_index,
-            alphas=alphas,
+            alphas=dict(enumerate(alphas)),
             gammas=gammas,
-            betas=betas,
+            betas=dict(zip(cfg.searcher_ids, map(tuple, betas.tolist()))),
             winner=winner,
             payment=payment,
             payoffs=payoffs,

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -24,9 +25,22 @@ def test_parse_grid_forms():
     assert log_grid[0] == pytest.approx(0.1)
     assert log_grid[-1] == pytest.approx(100.0)
     assert parse_grid("0.1,0.5,0.9") == [0.1, 0.5, 0.9]
+    assert len(parse_grid("0:1:2e-6")) == 500_001  # within MAX_GRID_POINTS
     for bad in ("a", "0:1", "0:1:0", "1:10:logx"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+@pytest.mark.parametrize("spec", ["0:1:1e-300", "0.1:100:log999999999", "0:1:1e-6"])
+def test_oversized_grid_is_rejected_before_it_is_built(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="more than 1000000 points"):
+            parse_grid(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def manifest_checksums_ok(out_dir):
@@ -266,11 +280,16 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["verify-analytic", "--mc-samples", "1e18"], None, "mc_samples"),
         # the array index fits in intp, its byte size does not
         (["verify-analytic", "--mc-samples", "2e18"], None, "mc_samples"),
+        # ~1e300 and ~1e9 points: rejected from the point count, before any is built
+        (["sweep", "--pc", "0:1:1e-300"], None, "more than 1000000 points"),
+        (["egta", "--alpha", "0.1:100:log999999999"], None, "more than 1000000 points"),
+        (["egta", "--alpha", "1:inf:1"], None, "finite"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
          "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
-         "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18"],
+         "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18",
+         "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:

@@ -1,10 +1,16 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pbsgame
 from pbsgame.codec import (
     Chromosome,
     SearcherParams,
     bid_ratio,
+    bid_ratios,
     decode_builder,
     decode_searcher,
     decode_segment,
@@ -118,6 +124,35 @@ def test_bid_ratio_monotone_in_rebate_and_bounded():
             values = [bid_ratio(params, a) for a in alphas]
             assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(values, values[1:]))
             assert all(0.5**g2 - 1e-12 <= v <= 1.0 + 1e-12 for v in values)
+
+
+def test_bid_ratios_equal_scalar_bid_ratio_for_every_genome_pair():
+    searchers = [Chromosome(format(s, "010b")) for s in range(1024)]
+    builders = [Chromosome(format(b, "05b")) for b in range(32)]
+    gammas = [decode_searcher(c) for c in searchers]
+    alphas = [decode_builder(c).alpha for c in builders]
+    table = bid_ratios(searchers, builders)
+    assert table.shape == (1024, 32)
+    mismatches = [
+        (s, b)
+        for s, params in enumerate(gammas)
+        for b, alpha in enumerate(alphas)
+        if not table[s, b] == bid_ratio(params, alpha)
+    ]
+    assert mismatches == []
+    # any genome order, repeats included, picks the same entries
+    picked = bid_ratios([searchers[k] for k in (7, 1023, 7)], [builders[k] for k in (31, 0, 5, 31)])
+    assert np.array_equal(picked, table[[7, 1023, 7]][:, [31, 0, 5, 31]])
+
+
+def test_import_fills_no_bid_ratio_row():
+    # the table is filled by rounds, never at import, so start-up pays nothing
+    probe = "import pbsgame.simulation, pbsgame.codec as c; print(int(c._BID_FILLED.sum()))"
+    src = str(Path(pbsgame.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0"
 
 
 def test_random_chromosome_widths():

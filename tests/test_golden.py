@@ -88,6 +88,12 @@ WIDE = {
         "0bdf9552b96082f6c5d79b658afc46974aa2ffa489aa37562bd954410206d071",
         "396b10270820cf8a0e9bb4397b6264f1357b8a7cd185716361cba5a2f95f1b7f",
     ),
+    # the benchmark's sim-wide shape: 51 offers per builder, most of them included
+    "50x50-pc0.1": (
+        {"n_builders": 50, "n_searchers": 50, "rounds": 60, "p_c": 0.1, "seed": 1},
+        "2de7ffd47e61ed00ca810a92f704fa9228242b4e2d9b707f5f49167ae2fd866e",
+        "1081f9c213f65f84a69206e4984069fba98524486e2a91f7a4d3701dd44ad462",
+    ),
 }
 
 

@@ -2,19 +2,22 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbsgame.simulation
 from pbsgame.analytic import OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, run_auction, settle
 from pbsgame.builder import BlockEntry, build_block
-from pbsgame.codec import Chromosome
+from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, StrategyPool, evolve, select_strategies, select_strategy
-from pbsgame.market import InteractionGraph, draw_scenario
+from pbsgame.market import InteractionGraph, Scenario, draw_scenario
+from pbsgame.simulation import SimConfig, Simulation
 
 # a few repeated levels make equal values and bids (and zero bid fractions) common
 VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 1.0))
@@ -128,6 +131,77 @@ def equal_sized_pools(draw):
                      temperature=draw(st.floats(0.05, 10.0)))
         for k in range(draw(st.integers(1, 6)))
     ]
+
+
+def one_builder_greedy(offers, weights, capacity):
+    """One builder's greedy block as the round once built it: sort by
+    (value <= 0, -bid, owner), then scan, blocking each included bundle's
+    frozenset of conflicts."""
+    conflicts = [frozenset(np.flatnonzero(col).tolist()) for col in weights.T]
+    entries, blocked = [], set()
+    for e in sorted(offers, key=lambda e: (e.value <= 0, -e.bid, e.owner)):
+        if e.value <= 0 or len(entries) == capacity:
+            break
+        if e.owner not in blocked:
+            entries.append(e)
+            blocked |= conflicts[e.owner]
+    return entries
+
+
+# gamma2 = 0 (low five bits 0) bids the whole value, tying a builder's own
+# bundle of equal value; shared genomes and values tie searchers
+SEARCHER_GENOMES = st.one_of(st.sampled_from([0, 0b10110_00000, 0b01010_00111]), st.integers(0, 1023))
+BUILDER_GENOMES = st.one_of(st.sampled_from([0, 31]), st.integers(0, 31))
+
+
+@st.composite
+def rounds(draw):
+    """A config, one fixed genome per agent, and a scenario with tie-prone values."""
+    n_builders, n_searchers = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    n = n_builders + n_searchers
+    genomes = [format(draw(BUILDER_GENOMES), "05b") for _ in range(n_builders)]
+    genomes += [format(draw(SEARCHER_GENOMES), "010b") for _ in range(n_searchers)]
+    pairs = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    scenario = Scenario(
+        values=tuple(draw(VALUES) for _ in range(n)),
+        graph=InteractionGraph.from_conflict_pairs(n, pairs),
+    )
+    config = SimConfig(
+        n_builders=n_builders, n_searchers=n_searchers, rounds=1, p_c=0.5,
+        capacity=draw(st.one_of(st.none(), st.integers(1, n))), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return config, genomes, scenario
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds())
+def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
+    config, genomes, scenario = round_
+    sim = Simulation(config)
+    for pool, bits in zip(sim.pools, genomes):
+        pool.strategies = [Chromosome(bits) for _ in pool.strategies]
+    blocks = []
+
+    def spy(*args):
+        blocks.append(build_block(*args))
+        return blocks[-1]
+
+    with mock.patch.object(pbsgame.simulation, "build_block", spy):
+        sim.run_round(scenario)
+
+    values, weights = scenario.values, scenario.graph.weights
+    assert [b.builder for b in blocks] == list(config.builder_ids)
+    for j, block in zip(config.builder_ids, blocks):
+        alpha = decode_builder(Chromosome(genomes[j])).alpha
+        offers = [BlockEntry(j, values[j], values[j])] + [
+            BlockEntry(i, values[i], bid_ratio(decode_searcher(Chromosome(genomes[i])), alpha) * values[i])
+            for i in config.searcher_ids
+        ]
+        expected = one_builder_greedy(offers, weights, config.capacity)
+        assert list(block.entries) == expected
+        assert block.total_bid == sum(e.bid for e in expected)
+    for k in range(config.n_agents):
+        assert scenario.graph.conflicts(k) == frozenset(np.flatnonzero(weights[:, k]).tolist())
 
 
 @settings(max_examples=200, deadline=None)
