@@ -10,6 +10,7 @@ settlement conserves the winning block's total effective value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,26 +36,25 @@ class Settlement:
         return self.proposer + sum(self.payoffs)
 
 
-def run_auction(blocks: dict[int, Block], rng: np.random.Generator) -> AuctionOutcome:
-    """Pick the winning block at the second-highest truthful bid.
+def run_auction(
+    bids: dict[int, float], rng: np.random.Generator, block_of: Callable[[int], Block]
+) -> AuctionOutcome:
+    """Pick the winner at the second-highest truthful bid, from the bids alone.
 
-    Exact bid ties are broken uniformly at random; the generator is only
-    consumed when a tie actually occurs.
+    ``bids`` maps each builder to its block's total bid; only the winner's
+    block is then asked for, as ``block_of(winner)``. Exact bid ties are
+    broken uniformly at random among the tied builders in ``bids`` order;
+    the generator is only consumed when a tie actually occurs.
     """
-    if not blocks:
+    if not bids:
         raise ConfigError("no builders this round; nothing to auction")
-    builders = list(blocks)
-    bids = [blocks[b].total_bid for b in builders]
-    top = max(bids)
-    tied = [b for b, bid in zip(builders, bids) if bid == top]
+    top = max(bids.values())
+    tied = [b for b, bid in bids.items() if bid == top]
     winner = tied[0] if len(tied) == 1 else int(tied[rng.integers(len(tied))])
-    others = [bid for b, bid in zip(builders, bids) if b != winner]
+    others = [bid for b, bid in bids.items() if b != winner]
     payment = max(others) if others else 0.0
     return AuctionOutcome(
-        winner=winner,
-        winning_block=blocks[winner],
-        payment=payment,
-        bids=dict(zip(builders, bids)),
+        winner=winner, winning_block=block_of(winner), payment=payment, bids=dict(bids)
     )
 
 

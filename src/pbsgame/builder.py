@@ -5,7 +5,9 @@ its own bundle, each an (owner, value, bid) offer. Bundles are added highest
 current bid first; an added bundle zeroes the value (and so the bid) of every
 bundle it conflicts with. The loop stops at capacity or when the best
 remaining bundle has no positive value left. ``rank_offers`` ranks the offers
-to every builder of a round in one call; ``build_block`` scans one builder's.
+to every builder of a round in one call, ``greedy_scan`` scans one builder's
+ranked offers into included positions and a total bid, and ``build_block``
+does both for one builder and returns its ``Block``.
 """
 
 from __future__ import annotations
@@ -74,39 +76,52 @@ def rank_offers(values: np.ndarray, bids: np.ndarray) -> np.ndarray:
     return np.argsort(np.where(values > 0, -bids, np.inf), axis=-1, kind="stable")
 
 
+def greedy_scan(
+    owners: Sequence[int], values: Sequence[float], bids: Sequence[float], masks: Sequence[int],
+    capacity: int | None = None,
+) -> tuple[list[int], float]:
+    """One builder's greedy pass over its offers, ranked as ``rank_offers`` orders them.
+
+    Returns the positions of the included offers and their total bid, summed
+    from 0 left to right as ``Block.total_bid`` sums them. In a two-point
+    graph an addition leaves every other bundle's value unchanged or zero, so
+    the order never changes and an included bundle keeps its offered value
+    and bid; skipping the bundles an earlier addition zeroed (``masks``)
+    picks what re-sorting after every addition would.
+    """
+    picked: list[int] = []
+    total = 0
+    blocked = 0
+    for k, owner in enumerate(owners):
+        # positive values rank first, so the first unzeroed non-positive one ends the scan
+        if not blocked >> owner & 1:
+            if values[k] <= 0:
+                break
+            picked.append(k)
+            total += bids[k]
+            if len(picked) == capacity:
+                break
+            blocked |= masks[owner]
+    return picked, total
+
+
 def build_block(
     builder: int,
     offers: Sequence[tuple[int, float, float]],
     graph: InteractionGraph,
     capacity: int | None = None,
-    order: Sequence[int] | None = None,
 ) -> Block:
     """Merge offered ``(owner, value, bid)`` bundles into a block, greedily by current bid.
 
-    The offers are scanned in ``order`` (indices into ``offers``, as a row of
-    ``rank_offers`` gives them); by default they are ranked here. In a
-    two-point graph an addition leaves every other bundle's value either
-    unchanged or zero, so the order never changes and an included bundle
-    keeps its offered value and bid: one ranking, then a scan that skips the
-    bundles an earlier addition zeroed, picks exactly what re-sorting after
-    every addition would. The input is not mutated.
+    The offers, in any order, are ranked by ``rank_offers`` and scanned by
+    ``greedy_scan``; the included ones enter the block unchanged. The input
+    is not mutated.
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
-    if order is None:
-        offers = sorted(offers, key=itemgetter(0))
-        order = rank_offers([e[1] for e in offers], [e[2] for e in offers]).tolist()
-
-    masks = graph.conflict_masks
-    entries: list[BlockEntry] = []
-    blocked = 0
-    for k in order:
-        owner, value, bid = offers[k]
-        if value <= 0:
-            break
-        if not blocked >> owner & 1:
-            entries.append(BlockEntry(owner, value, bid))
-            if len(entries) == capacity:
-                break
-            blocked |= masks[owner]
-    return Block(builder=builder, entries=tuple(entries), capacity=capacity)
+    offers = sorted(offers, key=itemgetter(0))
+    order = rank_offers([e[1] for e in offers], [e[2] for e in offers]).tolist()
+    ranked = [offers[k] for k in order]
+    owners, values, bids = zip(*ranked) if ranked else ((), (), ())
+    picked, _ = greedy_scan(owners, values, bids, graph.conflict_masks, capacity)
+    return Block(builder, tuple(BlockEntry(*ranked[k]) for k in picked), capacity)

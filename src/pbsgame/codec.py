@@ -100,6 +100,10 @@ def decode_builder(chromosome: Chromosome) -> BuilderParams:
     return BuilderParams(_linear(d, *ALPHA_RANGE))
 
 
+# the rebate ratio of every builder genome, indexed by the genome read as an integer
+BUILDER_ALPHAS = tuple(_linear(d, *ALPHA_RANGE) for d in range(2**BUILDER_WIDTH))
+
+
 def bid_ratio(params: SearcherParams, alpha: float) -> float:
     """Modified sigmoid bid ratio, (1 / (1 + gamma1^-alpha))^gamma2.
 
@@ -129,8 +133,6 @@ def bid_ratios(searchers: Sequence[Chromosome], builders: Sequence[Chromosome]) 
         params = SearcherParams(
             _linear(code >> SEGMENT_BITS, *GAMMA1_RANGE), _linear(code & SEGMENT_MAX, *GAMMA2_RANGE)
         )
-        _BID_TABLE[code] = [
-            bid_ratio(params, _linear(d, *ALPHA_RANGE)) for d in range(2**BUILDER_WIDTH)
-        ]
+        _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
         _BID_FILLED[code] = True
     return _BID_TABLE[rows[:, None], cols]

@@ -44,7 +44,7 @@ class StrategyPool:
     def __post_init__(self):
         if not self.strategies:
             raise ConfigError("strategy pool cannot be empty")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.learning_rate <= 1.0:
             raise ConfigError(f"learning rate must be in [0, 1], got {self.learning_rate}")

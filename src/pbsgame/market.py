@@ -8,6 +8,7 @@ two-point conflict graph where each unordered pair of bundles fully conflicts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -92,8 +93,8 @@ class Scenario:
                 f"graph over {len(self.graph.weights)} bundles for {len(self.values)} values"
             )
         for v in self.values:
-            if not v >= 0:
-                raise ConfigError(f"bundle value must be >= 0, got {v}")
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"bundle value must be >= 0 and finite, got {v}")
 
     @property
     def n(self) -> int:

@@ -3,8 +3,9 @@
 Agents 0..n_builders-1 build blocks; the rest share bundles. Each round draws
 a fresh scenario, every agent plays a strategy from its pool, searchers bid to
 every builder through the sigmoid of that builder's announced rebate ratio,
-each builder greedily merges a block, the blocks go to a second-price auction,
-and realized payoffs feed back into strategy fitness. Occasionally a pool is
+each builder's greedy scan gives its block's total bid, the totals go to a
+second-price auction, only the winner's block is built and settled, and
+realized payoffs feed back into strategy fitness. Occasionally a pool is
 rebuilt by the GA.
 
 A simulation is strictly sequential and owns a single RNG, so a (config, seed)
@@ -19,17 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auction import conservation_residual, run_auction, settle
-from .builder import build_block, rank_offers
-from .codec import (
-    BUILDER_WIDTH,
-    SEARCHER_WIDTH,
-    SearcherParams,
-    bid_ratios,
-    decode_builder,
-    decode_searcher,
-    segment_ints,
-)
-from .codec import bid_ratio  # noqa: F401  the benchmark's layer probes wrap this name
+from .builder import Block, BlockEntry, greedy_scan, rank_offers
+from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
+from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SearcherParams, bid_ratios
+from .codec import decode_searcher, segment_ints
+from .codec import bid_ratio, decode_builder  # noqa: F401  the benchmark's layer probes wrap these
 from .errors import ConfigError, NumericalError
 from .evolution import GAConfig, StrategyPool, evolve, select_strategies, update_fitness
 from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
@@ -67,8 +62,13 @@ class SimConfig:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.p_c <= 1:
             raise ConfigError(f"conflict probability must be in [0, 1], got {self.p_c}")
-        if not 0 < self.value_rate < math.inf:
-            raise ConfigError(f"value rate must be positive and finite, got {self.value_rate}")
+        # the value scale 1/rate must be finite and positive too: 1/1e-320 is inf
+        if not (self.value_rate > 0 and 0 < 1 / self.value_rate < math.inf):
+            raise ConfigError(
+                f"value rate and its inverse must be positive and finite, got {self.value_rate}"
+            )
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
         if self.ma_window < 1:
@@ -94,6 +94,9 @@ class SimConfig:
 
 @dataclass
 class RoundRecord:
+    """One round's outcome. With ``record_rounds`` off the round returns, but does not keep,
+    a record whose ``alphas``, ``gammas`` and ``betas`` are empty: it decodes no searcher."""
+
     index: int
     alphas: dict[int, float]  # builder -> announced rebate ratio
     gammas: dict[int, SearcherParams]  # searcher -> decoded parameters
@@ -209,36 +212,41 @@ class Simulation:
         genomes = [pool.strategies[k] for pool, k in zip(self.pools, chosen)]
         n_b = cfg.n_builders
 
-        alphas = [decode_builder(genomes[j]).alpha for j in cfg.builder_ids]
-        gammas = {i: decode_searcher(genomes[i]) for i in cfg.searcher_ids}
+        alphas = [BUILDER_ALPHAS[int(c.bits, 2)] for c in genomes[:n_b]]
         betas = bid_ratios(genomes[n_b:], genomes[:n_b])
 
-        winner: int | None = None
-        payment = 0.0
-        payoffs = tuple(0.0 for _ in range(n))
-        residual = 0.0
+        winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
         if n_b > 0:
-            values = scenario.values
             # row j: the offers to builder j in owner order, its own bundle
             # (bid at its whole value) then every searcher's
-            offer_values = np.empty((n_b, n - n_b + 1))
-            offer_values[:, 0] = values[:n_b]
-            offer_values[:, 1:] = values[n_b:]
+            width = n - n_b + 1
+            offer_owners = np.empty((n_b, width), dtype=np.intp)
+            offer_owners[:] = range(n_b - 1, n)
+            offer_owners[:, 0] = cfg.builder_ids
+            offer_values = np.empty((n_b, width))
+            offer_values[:] = scenario.values[n_b - 1 :]
+            offer_values[:, 0] = scenario.values[:n_b]
             offer_bids = offer_values.copy()
             offer_bids[:, 1:] *= betas.T
-            orders = rank_offers(offer_values, offer_bids).tolist()
-            owners = tuple(cfg.searcher_ids)
-            blocks = {}
-            for j, bids in enumerate(offer_bids.tolist()):
-                offers = list(zip((j, *owners), (values[j], *values[n_b:]), bids))
-                blocks[j] = build_block(j, offers, scenario.graph, cfg.capacity, orders[j])
-            outcome = run_auction(blocks, self.rng)
+            # each row in rank order, as flat indices into the offer matrices
+            ranked = rank_offers(offer_values, offer_bids) + width * np.arange(n_b)[:, None]
+            owners, values, bids = (
+                a.ravel()[ranked].tolist() for a in (offer_owners, offer_values, offer_bids)
+            )
+            masks = scenario.graph.conflict_masks
+            scans = [greedy_scan(*row, masks, cfg.capacity) for row in zip(owners, values, bids)]
+
+            def winning_block(j: int) -> Block:
+                entries = (BlockEntry(owners[j][k], values[j][k], bids[j][k]) for k in scans[j][0])
+                return Block(j, tuple(entries), cfg.capacity)
+
+            totals = {j: total for j, (_, total) in enumerate(scans)}
+            outcome = run_auction(totals, self.rng, winning_block)
             settlement = settle(outcome, n, alphas[outcome.winner])
-            winner = outcome.winner
-            payment = outcome.payment
-            payoffs = settlement.payoffs
+            winner, payment, payoffs = outcome.winner, outcome.payment, settlement.payoffs
             residual = conservation_residual(settlement, outcome)
-            if residual > _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
+            # written so that a NaN residual fails too
+            if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
                 raise NumericalError(
                     f"payoff conservation violated by {residual:.3e} in round {self.round_index}"
                 )
@@ -262,17 +270,11 @@ class Simulation:
         m.builder_reward.append(_mean([payoffs[j] for j in cfg.builder_ids]))
         m.proposer_reward.append(payment)
 
-        record = RoundRecord(
-            index=self.round_index,
-            alphas=dict(enumerate(alphas)),
-            gammas=gammas,
-            betas=dict(zip(cfg.searcher_ids, map(tuple, betas.tolist()))),
-            winner=winner,
-            payment=payment,
-            payoffs=payoffs,
-            residual=residual,
-        )
+        record = RoundRecord(self.round_index, {}, {}, {}, winner, payment, payoffs, residual)
         if cfg.record_rounds:
+            record.alphas = dict(enumerate(alphas))
+            record.gammas = {i: decode_searcher(genomes[i]) for i in cfg.searcher_ids}
+            record.betas = dict(zip(cfg.searcher_ids, map(tuple, betas.tolist())))
             self.records.append(record)
         self.round_index += 1
         if cfg.snapshot_every and (

@@ -10,33 +10,67 @@ def block_with_bid(builder, bid):
     return Block(builder, (BlockEntry(builder, bid, bid),))
 
 
+def auction(blocks, rng):
+    """The auction over whole blocks: each block's total bid, then the winner's block."""
+    return run_auction({b: block.total_bid for b, block in blocks.items()}, rng, blocks.__getitem__)
+
+
 def test_second_price_textbook():
     blocks = {0: block_with_bid(0, 5.0), 1: block_with_bid(1, 3.0), 2: block_with_bid(2, 1.0)}
-    outcome = run_auction(blocks, np.random.default_rng(0))
+    outcome = auction(blocks, np.random.default_rng(0))
     assert outcome.winner == 0
     assert outcome.payment == 3.0
     assert outcome.bids == {0: 5.0, 1: 3.0, 2: 1.0}
+    assert outcome.winning_block is blocks[0]
+
+
+def test_only_the_winners_block_is_asked_for():
+    asked = []
+
+    def block_of(builder):
+        asked.append(builder)
+        return block_with_bid(builder, 3.0)
+
+    outcome = run_auction({0: 1.0, 1: 3.0, 2: 2.0}, np.random.default_rng(0), block_of)
+    assert asked == [1]
+    assert (outcome.winner, outcome.payment) == (1, 2.0)
 
 
 def test_single_bidder_pays_nothing():
-    outcome = run_auction({4: block_with_bid(4, 5.0)}, np.random.default_rng(0))
+    outcome = auction({4: block_with_bid(4, 5.0)}, np.random.default_rng(0))
     assert outcome.winner == 4
     assert outcome.payment == 0.0
 
 
 def test_empty_auction_rejected():
     with pytest.raises(ConfigError):
-        run_auction({}, np.random.default_rng(0))
+        auction({}, np.random.default_rng(0))
 
 
 def test_tied_bids_split_evenly_over_seeds():
     blocks = {0: block_with_bid(0, 4.0), 1: block_with_bid(1, 4.0)}
     wins = 0
     for seed in range(10_000):
-        outcome = run_auction(blocks, np.random.default_rng(seed))
+        outcome = auction(blocks, np.random.default_rng(seed))
         assert outcome.payment == 4.0
         wins += outcome.winner == 0
     assert 0.45 <= wins / 10_000 <= 0.55
+
+
+def test_tie_draw_is_over_the_tied_builders_in_bids_order():
+    # a tied winner pays the tied bid and gains nothing, so no payoff shows
+    # which tied builder won; pin the draw itself
+    bids = {0: 1.0, 1: 4.0, 2: 4.0, 3: 4.0}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        outcome = run_auction(bids, rng, lambda b: block_with_bid(b, bids[b]))
+        expected = np.random.default_rng(seed)
+        assert outcome.winner == [1, 2, 3][expected.integers(3)]
+        assert rng.bit_generator.state == expected.bit_generator.state
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    auction({0: block_with_bid(0, 1.0), 1: block_with_bid(1, 2.0)}, rng)
+    assert rng.bit_generator.state == before
 
 
 def one_builder_one_searcher(alpha):
@@ -85,7 +119,7 @@ def test_losing_builders_get_zero():
         0: block_with_bid(0, 5.0),
         1: block_with_bid(1, 3.0),
     }
-    outcome = run_auction(blocks, np.random.default_rng(1))
+    outcome = auction(blocks, np.random.default_rng(1))
     settlement = settle(outcome, 2, 0.4)
     assert settlement.payoffs[1] == 0.0
 

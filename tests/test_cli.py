@@ -284,12 +284,17 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["sweep", "--pc", "0:1:1e-300"], None, "more than 1000000 points"),
         (["egta", "--alpha", "0.1:100:log999999999"], None, "more than 1000000 points"),
         (["egta", "--alpha", "1:inf:1"], None, "finite"),
+        # NaN passed `temperature <= 0`, and every softmax drew strategy 0
+        (["simulate", *SIM_ARGS, "--temperature", "nan"], None, "temperature"),
+        # finite, but 1/1e-320 overflows: every value was inf and every reward NaN
+        (["simulate", *SIM_ARGS, "--value-rate", "1e-320"], None, "value rate"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
          "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
          "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18",
-         "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf"],
+         "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf", "temperature-nan",
+         "value-rate-1e-320"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:

@@ -7,6 +7,7 @@ import pytest
 
 import pbsgame
 from pbsgame.codec import (
+    BUILDER_ALPHAS,
     Chromosome,
     SearcherParams,
     bid_ratio,
@@ -94,6 +95,11 @@ def test_decode_equals_decode_segment_on_every_genome():
                 decode_segment(s1, 1.0, 5.0),
                 decode_segment(s2, 0.0, 4.0),
             )
+
+
+def test_alpha_table_equals_decode_builder_on_every_genome():
+    genomes = [format(d, "05b") for d in range(32)]
+    assert list(BUILDER_ALPHAS) == [decode_builder(Chromosome(bits)).alpha for bits in genomes]
 
 
 def test_segment_ints():

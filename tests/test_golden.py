@@ -94,6 +94,14 @@ WIDE = {
         "2de7ffd47e61ed00ca810a92f704fa9228242b4e2d9b707f5f49167ae2fd866e",
         "1081f9c213f65f84a69206e4984069fba98524486e2a91f7a4d3701dd44ad462",
     ),
+    # every pair conflicts, so each block is one bundle, and builders whose best
+    # offer is the same bundle at the same bid tie: 11 of the 200 rounds draw a
+    # winner among tied builders, and only those rounds consume that draw
+    "20x20-pc1.0": (
+        {"n_builders": 20, "n_searchers": 20, "rounds": 200, "p_c": 1.0, "seed": 2},
+        "6cf08f26c74364d5058d62d3477d2dc1bcafb471f8a7e2acaac1979a618eb1d4",
+        "d11f874d3ca3dc1197aaf51a4efdc27f1f370befb1180210279d9733db417d24",
+    ),
 }
 
 

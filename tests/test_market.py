@@ -84,6 +84,12 @@ def test_bundle_rejects_negative_value():
         Scenario((0.2, -0.1), InteractionGraph.independent(2))
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_scenario_rejects_non_finite_value(value):
+    with pytest.raises(ConfigError, match="finite"):
+        Scenario((0.2, value), InteractionGraph.independent(2))
+
+
 @pytest.mark.parametrize("values", [(0.1, 0.2, 0.3), (0.1,)], ids=["more-values", "fewer-values"])
 def test_scenario_rejects_graph_of_another_size(values):
     with pytest.raises(ConfigError, match="graph over 2 bundles"):

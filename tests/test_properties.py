@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import pbsgame.simulation
 from pbsgame.analytic import OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, run_auction, settle
-from pbsgame.builder import BlockEntry, build_block
+from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan
 from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, StrategyPool, evolve, select_strategies, select_strategy
@@ -117,7 +117,7 @@ def test_settlement_conserves_value(n_builders, n_searchers, p_c, capacity, seed
         )
         for j in range(n_builders)
     }
-    outcome = run_auction(blocks, rng)
+    outcome = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
     settlement = settle(outcome, n, float(alphas[outcome.winner]))
     assert conservation_residual(settlement, outcome) <= 1e-12
 
@@ -180,26 +180,44 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     sim = Simulation(config)
     for pool, bits in zip(sim.pools, genomes):
         pool.strategies = [Chromosome(bits) for _ in pool.strategies]
-    blocks = []
+    scans, auctions = [], []
 
-    def spy(*args):
-        blocks.append(build_block(*args))
-        return blocks[-1]
+    def scan_spy(*args):
+        scans.append((args[0], *greedy_scan(*args)))
+        return scans[-1][1:]
 
-    with mock.patch.object(pbsgame.simulation, "build_block", spy):
-        sim.run_round(scenario)
+    def auction_spy(bids, rng, block_of):
+        before = rng.bit_generator.state
+        outcome = run_auction(bids, rng, block_of)
+        auctions.append((before, outcome, rng.bit_generator.state))
+        return outcome
+
+    with mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
+            mock.patch.object(pbsgame.simulation, "run_auction", auction_spy):
+        record = sim.run_round(scenario)
 
     values, weights = scenario.values, scenario.graph.weights
-    assert [b.builder for b in blocks] == list(config.builder_ids)
-    for j, block in zip(config.builder_ids, blocks):
+    blocks = {}
+    for j in config.builder_ids:
         alpha = decode_builder(Chromosome(genomes[j])).alpha
         offers = [BlockEntry(j, values[j], values[j])] + [
             BlockEntry(i, values[i], bid_ratio(decode_searcher(Chromosome(genomes[i])), alpha) * values[i])
             for i in config.searcher_ids
         ]
-        expected = one_builder_greedy(offers, weights, config.capacity)
-        assert list(block.entries) == expected
-        assert block.total_bid == sum(e.bid for e in expected)
+        blocks[j] = Block(j, tuple(one_builder_greedy(offers, weights, config.capacity)))
+    assert len(scans) == config.n_builders
+    for (owners, picked, total), block in zip(scans, blocks.values()):
+        assert [owners[k] for k in picked] == [e.owner for e in block.entries]
+        assert total == block.total_bid
+
+    # the auction on the oracle's blocks, from the generator state the round's auction met
+    [(before, outcome, after)] = auctions
+    rng = np.random.default_rng()
+    rng.bit_generator.state = before
+    expected = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
+    assert outcome.winning_block.entries == expected.winning_block.entries
+    assert (record.winner, record.payment) == (expected.winner, expected.payment)
+    assert after == rng.bit_generator.state
     for k in range(config.n_agents):
         assert scenario.graph.conflicts(k) == frozenset(np.flatnonzero(weights[:, k]).tolist())
 

@@ -61,6 +61,10 @@ def test_config_validation():
         small_config(value_rate=0)
     with pytest.raises(ConfigError):
         small_config(capacity=0)
+    with pytest.raises(ConfigError, match="temperature"):
+        small_config(temperature=math.nan)
+    with pytest.raises(ConfigError, match="value rate"):
+        small_config(value_rate=1e-320)
 
 
 def test_deterministic_replay():
@@ -152,6 +156,18 @@ def test_conservation_guard_catches_a_tiny_leak(monkeypatch):
         Simulation(small_config(rounds=5)).run()
 
 
+def test_conservation_guard_catches_a_nan_payoff(monkeypatch):
+    def nan_settle(outcome, n_agents, rebate_ratio):
+        settlement = settle(outcome, n_agents, rebate_ratio)
+        payoffs = list(settlement.payoffs)
+        payoffs[outcome.winner] = math.nan
+        return Settlement(payoffs=tuple(payoffs), proposer=settlement.proposer)
+
+    monkeypatch.setattr("pbsgame.simulation.settle", nan_settle)
+    with pytest.raises(NumericalError, match="conservation"):
+        Simulation(small_config(rounds=5)).run()
+
+
 def test_conservation_guard_scales_with_block_value():
     # bundle values ~1e9: float noise of ~1e-6 is far above an absolute 1e-12,
     # yet far below 1e-12 of the block's value, so the correct run passes
@@ -184,6 +200,17 @@ def test_summarize_keys():
     summary = summarize(sim)
     for metric in SWEEP_METRICS:
         assert metric in summary
+
+
+def test_round_decodes_no_genome_unless_recording(monkeypatch):
+    calls = []
+    for name in ("decode_builder", "decode_searcher"):
+        monkeypatch.setattr(f"pbsgame.simulation.{name}", lambda c, name=name: calls.append(name))
+    Simulation(small_config(rounds=20)).run()
+    assert calls == []
+    # the spies are live: a recording round decodes its searchers for the record
+    Simulation(small_config(rounds=1, record_rounds=True)).run()
+    assert calls == ["decode_searcher"] * 3
 
 
 def test_scenario_size_checked():
