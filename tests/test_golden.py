@@ -1,5 +1,5 @@
 """Golden outputs: sha256 of the CSV and JSON files of small fixed-seed CLI runs,
-and of the metric series and pools of two wider in-process runs.
+and of the metric series and pools of wider in-process runs.
 
 Any change to these digests changes what the simulator computes or writes,
 and has to be deliberate. Every command runs at --jobs 1.
@@ -101,6 +101,15 @@ WIDE = {
         {"n_builders": 20, "n_searchers": 20, "rounds": 200, "p_c": 1.0, "seed": 2},
         "6cf08f26c74364d5058d62d3477d2dc1bcafb471f8a7e2acaac1979a618eb1d4",
         "d11f874d3ca3dc1197aaf51a4efdc27f1f370befb1180210279d9733db417d24",
+    ),
+    # the other pins run the default trigger of 0.01; here half the pools are
+    # rebuilt every round (1,186 GA steps in 150 rounds), from a strong
+    # elimination and mutation and a sharp softmax
+    "8x8-pc0.5-ga": (
+        {"n_builders": 8, "n_searchers": 8, "rounds": 150, "p_c": 0.5, "seed": 4,
+         "temperature": 0.5, "ga": GAConfig(trigger=0.5, mutation=0.2, elimination=0.75)},
+        "429c02e9b261597b684d85b34cd83ae86c40a33de5abe99f15e7022d6c9ed49a",
+        "4d3a1f6ca2a01e44e84833132d06968e00fbbe6d5f472bf701d2ad5d939ea192",
     ),
 }
 
