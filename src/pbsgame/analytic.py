@@ -190,6 +190,8 @@ def verification_report(
     seed: int = 0,
 ) -> dict:
     """Grid verification of the closed-form market: signs, MC deltas, FD match."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     sign_values = []

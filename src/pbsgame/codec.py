@@ -3,13 +3,14 @@
 Searcher genomes are 10 bits (two 5-bit segments decoding to gamma1 in [1, 5]
 and gamma2 in [0, 4]); builder genomes are 5 bits decoding to a rebate ratio
 alpha in [0, 1]. Each 5-bit segment is read most-significant-bit first and
-mapped linearly, low + (d / 31) * (high - low).
+mapped linearly, low + (d / 31) * (high - low). A genome's *code* is its bits
+read most-significant first as one integer; pools and the round hold codes,
+and bit strings (``Chromosome``) appear only in the decode API and in output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,10 +37,9 @@ class BuilderParams(NamedTuple):
 
 @dataclass
 class Chromosome:
-    """Fixed-width bit string with a running fitness value."""
+    """A genome as a fixed-width bit string, the form the decode API takes."""
 
     bits: str
-    fitness: float = 0.0
 
     def __post_init__(self):
         if len(self.bits) not in (BUILDER_WIDTH, SEARCHER_WIDTH):
@@ -52,9 +52,10 @@ class Chromosome:
         return len(self.bits)
 
 
-def random_chromosome(width: int, rng: np.random.Generator) -> Chromosome:
-    bits = "".join("1" if b else "0" for b in rng.integers(0, 2, size=width))
-    return Chromosome(bits=bits)
+def random_codes(width: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` random genome codes of ``width`` bits, each from one ``rng.integers`` draw."""
+    places = 1 << np.arange(width - 1, -1, -1)
+    return np.array([rng.integers(0, 2, size=width) @ places for _ in range(size)], dtype=np.int64)
 
 
 def _linear(d: int, low: float, high: float) -> float:
@@ -76,9 +77,8 @@ def encode_segment(value: int) -> str:
     return format(value, f"0{SEGMENT_BITS}b")
 
 
-@lru_cache(maxsize=4096)
 def segment_ints(bits: str) -> tuple[int, ...]:
-    """Decoded integer (0..31) of each 5-bit segment; the one cached parse of a genome."""
+    """Decoded integer (0..31) of each 5-bit segment of a bit string."""
     if len(bits) % SEGMENT_BITS != 0:
         raise CodecError(f"bit string length must be a multiple of 5, got {len(bits)}")
     return tuple(
@@ -89,8 +89,14 @@ def segment_ints(bits: str) -> tuple[int, ...]:
 def decode_searcher(chromosome: Chromosome) -> SearcherParams:
     if chromosome.width != SEARCHER_WIDTH:
         raise CodecError(f"searcher chromosome must have 10 bits, got {chromosome.width}")
-    d1, d2 = segment_ints(chromosome.bits)
-    return SearcherParams(_linear(d1, *GAMMA1_RANGE), _linear(d2, *GAMMA2_RANGE))
+    return searcher_params(int(chromosome.bits, 2))
+
+
+def searcher_params(code: int) -> SearcherParams:
+    """The decoded parameters of a searcher genome code."""
+    return SearcherParams(
+        _linear(code >> SEGMENT_BITS, *GAMMA1_RANGE), _linear(code & SEGMENT_MAX, *GAMMA2_RANGE)
+    )
 
 
 def decode_builder(chromosome: Chromosome) -> BuilderParams:
@@ -120,19 +126,17 @@ _BID_TABLE = np.empty((2**SEARCHER_WIDTH, 2**BUILDER_WIDTH))
 _BID_FILLED = np.zeros(2**SEARCHER_WIDTH, dtype=bool)
 
 
-def bid_ratios(searchers: Sequence[Chromosome], builders: Sequence[Chromosome]) -> np.ndarray:
-    """The ``(searchers, builders)`` matrix of ``bid_ratio`` between decoded genomes.
+def bid_ratios(searchers: Sequence[int], builders: Sequence[int]) -> np.ndarray:
+    """The ``(searchers, builders)`` matrix of ``bid_ratio`` between genome codes.
 
-    A genome's bits, read most-significant first, index a table with one row
-    per searcher genome. A row is filled on first use with the scalar
-    ``bid_ratio`` (Python's ``**``), so every entry is exact.
+    Codes index a table with one row per searcher genome. A row is filled on
+    first use with the scalar ``bid_ratio`` (Python's ``**``), so every entry
+    is exact.
     """
-    rows = np.array([int(c.bits, 2) for c in searchers], dtype=np.intp)
-    cols = np.array([int(c.bits, 2) for c in builders], dtype=np.intp)
+    rows = np.asarray(searchers, dtype=np.intp)
+    cols = np.asarray(builders, dtype=np.intp)
     for code in set(rows[~_BID_FILLED[rows]].tolist()):
-        params = SearcherParams(
-            _linear(code >> SEGMENT_BITS, *GAMMA1_RANGE), _linear(code & SEGMENT_MAX, *GAMMA2_RANGE)
-        )
+        params = searcher_params(code)
         _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
         _BID_FILLED[code] = True
     return _BID_TABLE[rows[:, None], cols]

@@ -6,7 +6,8 @@ every builder through the sigmoid of that builder's announced rebate ratio,
 each builder's greedy scan gives its block's total bid, the totals go to a
 second-price auction, only the winner's block is built and settled, and
 realized payoffs feed back into strategy fitness. Occasionally a pool is
-rebuilt by the GA.
+rebuilt by the GA. Pool state is two ``(agents, POOL_SIZE)`` arrays, genome
+codes and fitness, and each agent's ``StrategyPool`` is a view onto its rows.
 
 A simulation is strictly sequential and owns a single RNG, so a (config, seed)
 pair reproduces bit-identical results.
@@ -22,12 +23,12 @@ import numpy as np
 from .auction import conservation_residual, run_auction, settle
 from .builder import Block, BlockEntry, greedy_scan, rank_offers
 from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
-from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SearcherParams, bid_ratios
-from .codec import decode_searcher, segment_ints
-from .codec import bid_ratio, decode_builder  # noqa: F401  the benchmark's layer probes wrap these
+from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, SEGMENT_MAX
+from .codec import SearcherParams, bid_ratios, random_codes, searcher_params
+from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
-from .evolution import GAConfig, StrategyPool, evolve, select_strategies, update_fitness
-from .evolution import select_strategy  # noqa: F401  the benchmark's layer probes wrap this name
+from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, select_strategies
+from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
 from .market import Scenario, draw_scenario
 
 # residuals beyond this share of the winning block's value (or of 1.0 for a
@@ -75,6 +76,8 @@ class SimConfig:
             raise ConfigError(f"moving-average window must be >= 1, got {self.ma_window}")
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot period must be >= 0, got {self.snapshot_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_agents(self) -> int:
@@ -138,15 +141,15 @@ class MetricsSeries:
         return tuple(getattr(self, name)[t] for name in self.FIELDS)
 
 
-def cov(values) -> float:
-    """Population coefficient of variation; 0 when the mean is 0."""
+def cov(values):
+    """Population coefficient of variation along the last axis (a float for 1-D input);
+    0 where the mean is 0. Each row takes the numpy sums a 1-D input would."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ConfigError("cov needs a non-empty list")
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0
-    return float(arr.std() / mean)
+    mean = arr.mean(axis=-1)
+    ratio = np.divide(arr.std(axis=-1), mean, out=np.zeros_like(mean), where=mean != 0)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def moving_average(series, window: int) -> list[float]:
@@ -167,36 +170,37 @@ def _mean(values: list[float]) -> float:
 
 
 class Simulation:
-    """Owns the per-agent pools, the RNG, and the accumulated metrics."""
+    """Owns the pool arrays and their per-agent views, the RNG, and the accumulated metrics."""
 
     def __init__(self, config: SimConfig, rng: np.random.Generator | None = None):
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.pools: list[StrategyPool] = [
-            StrategyPool.random(
-                agent,
-                BUILDER_WIDTH if config.role_of(agent) == "builder" else SEARCHER_WIDTH,
-                self.rng,
-                temperature=config.temperature,
-                learning_rate=config.learning_rate,
-            )
-            for agent in range(config.n_agents)
-        ]
+        widths = [BUILDER_WIDTH] * config.n_builders + [SEARCHER_WIDTH] * config.n_searchers
+        # row a: agent a's genome codes and their fitness
+        self.codes = np.array([random_codes(w, POOL_SIZE, self.rng) for w in widths])
+        self.fitness = np.zeros(self.codes.shape)
+        self.pools = tuple(
+            StrategyPool(a, w, self.codes[a], self.fitness[a], config.temperature, config.learning_rate)
+            for a, w in enumerate(widths)
+        )
         self.round_index = 0
         self.metrics = MetricsSeries()
         self.records: list[RoundRecord] = []
         self.snapshots: list[dict] = []
         self.max_residual = 0.0
-        # per agent, the CoV of each genome segment over its pool; a pool's
-        # genomes change only in a GA step, which drops the agent's entry
-        self._covs: list[tuple[float, ...] | None] = [None] * config.n_agents
+        self._agents = np.arange(config.n_agents)
+        # the mean pool CoV of alpha, gamma1 and gamma2; genomes change only
+        # in a GA step, which clears it
+        self._consensus: tuple[float, float, float] | None = None
 
-    def _pool_covs(self, agent: int) -> tuple[float, ...]:
-        covs = self._covs[agent]
-        if covs is None:
-            ints = [segment_ints(c.bits) for c in self.pools[agent].strategies]
-            covs = self._covs[agent] = tuple(cov(segment) for segment in zip(*ints))
-        return covs
+    def _pool_covs(self) -> tuple[float, float, float]:
+        if self._consensus is None:
+            n_b, n, codes = self.config.n_builders, self.config.n_agents, self.codes
+            # one row per genome segment: each builder's, then each searcher's two
+            segments = (codes[:n_b], codes[n_b:] >> SEGMENT_BITS, codes[n_b:] & SEGMENT_MAX)
+            covs = cov(np.concatenate(segments)).tolist()
+            self._consensus = (_mean(covs[:n_b]), _mean(covs[n_b:n]), _mean(covs[n:]))
+        return self._consensus
 
     def run_round(self, scenario: Scenario | None = None) -> RoundRecord:
         """Play one round; draws a scenario from the owned RNG unless given one."""
@@ -208,12 +212,13 @@ class Simulation:
             raise ConfigError(f"scenario has {scenario.n} bundles for {n} agents")
 
         # strategy selection, one softmax draw per agent in index order
-        chosen = select_strategies(self.pools, self.rng)
-        genomes = [pool.strategies[k] for pool, k in zip(self.pools, chosen)]
+        temperatures = np.array([[pool.temperature] for pool in self.pools])
+        chosen = select_strategies(self.fitness, temperatures, self.rng)
+        played = self.codes[self._agents, chosen].tolist()
         n_b = cfg.n_builders
 
-        alphas = [BUILDER_ALPHAS[int(c.bits, 2)] for c in genomes[:n_b]]
-        betas = bid_ratios(genomes[n_b:], genomes[:n_b])
+        alphas = [BUILDER_ALPHAS[code] for code in played[:n_b]]
+        betas = bid_ratios(played[n_b:], played[:n_b])
 
         winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
         if n_b > 0:
@@ -253,19 +258,19 @@ class Simulation:
             self.max_residual = max(self.max_residual, residual)
 
         # only the played strategy learns; losers and the excluded see payoff 0
-        for agent in range(n):
-            update_fitness(self.pools[agent], chosen[agent], payoffs[agent])
+        eta = np.array([pool.learning_rate for pool in self.pools])
+        played_fitness = self.fitness[self._agents, chosen]
+        self.fitness[self._agents, chosen] = (1.0 - eta) * played_fitness + eta * np.array(payoffs)
 
         for agent in np.flatnonzero(self.rng.random(n) < cfg.ga.trigger).tolist():
             evolve(self.pools[agent], cfg.ga, self.rng)
-            self._covs[agent] = None
+            self._consensus = None
 
         m = self.metrics
         m.avg_bid_ratio.append(_mean(betas.ravel().tolist()))
         m.avg_rebate_ratio.append(_mean(alphas))
-        m.cov_alpha.append(_mean([self._pool_covs(j)[0] for j in cfg.builder_ids]))
-        m.cov_gamma1.append(_mean([self._pool_covs(i)[0] for i in cfg.searcher_ids]))
-        m.cov_gamma2.append(_mean([self._pool_covs(i)[1] for i in cfg.searcher_ids]))
+        for series, value in zip((m.cov_alpha, m.cov_gamma1, m.cov_gamma2), self._pool_covs()):
+            series.append(value)
         m.searcher_reward.append(_mean([payoffs[i] for i in cfg.searcher_ids]))
         m.builder_reward.append(_mean([payoffs[j] for j in cfg.builder_ids]))
         m.proposer_reward.append(payment)
@@ -273,7 +278,7 @@ class Simulation:
         record = RoundRecord(self.round_index, {}, {}, {}, winner, payment, payoffs, residual)
         if cfg.record_rounds:
             record.alphas = dict(enumerate(alphas))
-            record.gammas = {i: decode_searcher(genomes[i]) for i in cfg.searcher_ids}
+            record.gammas = {i: searcher_params(played[i]) for i in cfg.searcher_ids}
             record.betas = dict(zip(cfg.searcher_ids, map(tuple, betas.tolist())))
             self.records.append(record)
         self.round_index += 1
@@ -290,7 +295,7 @@ class Simulation:
                 {
                     "agent": pool.owner,
                     "role": self.config.role_of(pool.owner),
-                    "strategies": [[c.bits, c.fitness] for c in pool.strategies],
+                    "strategies": [list(s) for s in zip(pool.bits, pool.fitness.tolist())],
                 }
                 for pool in self.pools
             ],

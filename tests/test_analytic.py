@@ -17,7 +17,7 @@ from pbsgame.analytic import (
 )
 from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
 from pbsgame.errors import ConfigError
-from pbsgame.evolution import GAConfig, StrategyPool
+from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import SimConfig, Simulation
 
@@ -221,9 +221,9 @@ def test_two_builder_simulation_reproduces_expected_payoff():
         learning_rate=0.0, ga=GAConfig(trigger=0.0),
     )
     sim = Simulation(config)
-    sim.pools[0] = StrategyPool(0, [Chromosome(alpha1_bits) for _ in range(20)], learning_rate=0.0)
-    sim.pools[1] = StrategyPool(1, [Chromosome(alpha2_bits) for _ in range(20)], learning_rate=0.0)
-    sim.pools[2] = StrategyPool(2, [Chromosome(searcher_bits) for _ in range(20)], learning_rate=0.0)
+    for pool, bits in zip(sim.pools, (alpha1_bits, alpha2_bits, searcher_bits)):
+        pool.codes[:] = int(bits, 2)
+        pool.learning_rate = 0.0
 
     rng = np.random.default_rng(99)
     n_rounds = 40_000

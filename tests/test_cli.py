@@ -288,13 +288,20 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["simulate", *SIM_ARGS, "--temperature", "nan"], None, "temperature"),
         # finite, but 1/1e-320 overflows: every value was inf and every reward NaN
         (["simulate", *SIM_ARGS, "--value-rate", "1e-320"], None, "value rate"),
+        # numpy's seeding raised ValueError with a traceback for each of these
+        (["simulate", *SIM_ARGS, "--seed", -1], None, "seed"),
+        (["sweep", *SIM_ARGS, "--seed", -1], None, "seed"),
+        (["egta", "--agents", 2, "--rounds", 5, "--seed", -1], None, "seed"),
+        (["verify-analytic", "--sign-points", 1, "--seed", -1], None, "seed"),
+        (["simulate", "--rounds", 5], {"seed": -3}, "seed"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
          "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
          "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18",
          "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf", "temperature-nan",
-         "value-rate-1e-320"],
+         "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
+         "egta-negative-seed", "verify-negative-seed", "config-negative-seed"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:

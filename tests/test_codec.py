@@ -16,7 +16,7 @@ from pbsgame.codec import (
     decode_searcher,
     decode_segment,
     encode_segment,
-    random_chromosome,
+    random_codes,
     segment_ints,
 )
 from pbsgame.errors import CodecError
@@ -137,7 +137,7 @@ def test_bid_ratios_equal_scalar_bid_ratio_for_every_genome_pair():
     builders = [Chromosome(format(b, "05b")) for b in range(32)]
     gammas = [decode_searcher(c) for c in searchers]
     alphas = [decode_builder(c).alpha for c in builders]
-    table = bid_ratios(searchers, builders)
+    table = bid_ratios(range(1024), range(32))
     assert table.shape == (1024, 32)
     mismatches = [
         (s, b)
@@ -147,7 +147,7 @@ def test_bid_ratios_equal_scalar_bid_ratio_for_every_genome_pair():
     ]
     assert mismatches == []
     # any genome order, repeats included, picks the same entries
-    picked = bid_ratios([searchers[k] for k in (7, 1023, 7)], [builders[k] for k in (31, 0, 5, 31)])
+    picked = bid_ratios([7, 1023, 7], [31, 0, 5, 31])
     assert np.array_equal(picked, table[[7, 1023, 7]][:, [31, 0, 5, 31]])
 
 
@@ -161,7 +161,20 @@ def test_import_fills_no_bid_ratio_row():
     assert result.stdout.strip() == "0"
 
 
-def test_random_chromosome_widths():
+def test_random_codes_widths():
     rng = np.random.default_rng(0)
-    assert random_chromosome(5, rng).width == 5
-    assert random_chromosome(10, rng).width == 10
+    for width in (5, 10):
+        codes = random_codes(width, 20, rng)
+        assert codes.shape == (20,)
+        assert 0 <= codes.min() and codes.max() < 2**width
+
+
+def test_random_codes_read_each_draw_most_significant_first():
+    # one rng.integers(0, 2, size=width) call per genome, its bits read as a string
+    rng, bits_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for width in (5, 10):
+        expected = [
+            int("".join(map(str, bits_rng.integers(0, 2, size=width))), 2) for _ in range(20)
+        ]
+        assert random_codes(width, 20, rng).tolist() == expected
+    assert rng.bit_generator.state == bits_rng.bit_generator.state

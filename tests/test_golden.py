@@ -137,7 +137,7 @@ def test_consensus_metrics_follow_every_ga_step(trigger):
     sim = Simulation(config)
 
     def fresh(agents, segment):
-        pools = [[segment_ints(c.bits)[segment] for c in sim.pools[a].strategies] for a in agents]
+        pools = [[segment_ints(bits)[segment] for bits in sim.pools[a].bits] for a in agents]
         return sum(cov(ints) for ints in pools) / len(pools)
 
     for _ in range(config.rounds):

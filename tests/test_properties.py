@@ -127,7 +127,7 @@ def equal_sized_pools(draw):
     size = draw(st.integers(1, 20))
     fitness = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-10.0, 10.0))
     return [
-        StrategyPool(k, [Chromosome("00000", draw(fitness)) for _ in range(size)],
+        StrategyPool(k, 5, [0] * size, [draw(fitness) for _ in range(size)],
                      temperature=draw(st.floats(0.05, 10.0)))
         for k in range(draw(st.integers(1, 6)))
     ]
@@ -179,7 +179,7 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     config, genomes, scenario = round_
     sim = Simulation(config)
     for pool, bits in zip(sim.pools, genomes):
-        pool.strategies = [Chromosome(bits) for _ in pool.strategies]
+        pool.codes[:] = int(bits, 2)
     scans, auctions = [], []
 
     def scan_spy(*args):
@@ -225,15 +225,16 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
 @settings(max_examples=200, deadline=None)
 @given(pools=equal_sized_pools(), seed=st.integers(0, 2**32 - 1))
 def test_batched_selection_equals_scalar_draws(pools, seed):
-    batched = select_strategies(pools, np.random.default_rng(seed))
+    fitness = np.array([pool.fitness for pool in pools])
+    temperatures = np.array([[pool.temperature] for pool in pools])
+    batched = select_strategies(fitness, temperatures, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     scalar = []
     for pool in pools:  # one pool's softmax and one scalar draw at a time
-        fitness = np.array([c.fitness for c in pool.strategies])
-        weights = np.exp((fitness - fitness.max()) / pool.temperature)
+        weights = np.exp((pool.fitness - pool.fitness.max()) / pool.temperature)
         cumulative = np.cumsum(weights / weights.sum())
         index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        scalar.append(min(index, len(pool.strategies) - 1))
+        scalar.append(min(index, len(pool.codes) - 1))
     assert batched == scalar
     assert select_strategy(pools[0], np.random.default_rng(seed)) == batched[0]
 
@@ -265,24 +266,29 @@ def ga_steps(draw):
     width = draw(st.sampled_from([5, 10]))
     fitness = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-10.0, 10.0))
     bits = st.text("01", min_size=width, max_size=width)
-    strategies = [Chromosome(draw(bits), draw(fitness)) for _ in range(draw(st.integers(1, 20)))]
+    size = draw(st.integers(1, 20))
+    codes = [int(draw(bits), 2) for _ in range(size)]
+    pool = StrategyPool(0, width, codes, [draw(fitness) for _ in range(size)])
     ga = GAConfig(trigger=1.0, elimination=draw(st.floats(0.0, 1.0)), mutation=draw(st.floats(0.0, 1.0)))
-    return StrategyPool(0, strategies), ga, draw(st.integers(0, 2**32 - 1))
+    return pool, ga, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ga_steps())
 def test_evolve_keeps_shape_and_the_top_strategies(step):
     pool, ga, seed = step
-    before = list(pool.strategies)
-    size, width = len(before), before[0].width
+    codes, fitness = pool.codes.tolist(), pool.fitness.tolist()
+    size, width = len(codes), pool.width
     evolve(pool, ga, np.random.default_rng(seed))
-    assert len(pool.strategies) == size
-    assert all(c.width == width for c in pool.strategies)
-    # the worst fraction by (fitness, index) goes, always leaving one survivor
+    assert len(pool.codes) == len(pool.fitness) == size
+    assert all(len(bits) == width for bits in pool.bits)
+    assert 0 <= pool.codes.min() and pool.codes.max() < 2**width
+    # the worst fraction by (fitness, index) goes, always leaving one survivor,
+    # and the survivors keep their order at the front of the pool
     n_drop = min(int(size * ga.elimination), size - 1)
-    kept = sorted(sorted(range(size), key=lambda k: (before[k].fitness, k))[n_drop:])
-    assert all(a is before[k] for a, k in zip(pool.strategies, kept))
+    kept = sorted(sorted(range(size), key=lambda k: (fitness[k], k))[n_drop:])
+    assert pool.codes[: len(kept)].tolist() == [codes[k] for k in kept]
+    assert pool.fitness[: len(kept)].tolist() == [fitness[k] for k in kept]
 
 
 @settings(max_examples=200, deadline=None)

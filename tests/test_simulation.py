@@ -6,7 +6,7 @@ import pytest
 from pbsgame.auction import Settlement, settle
 from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
 from pbsgame.errors import ConfigError, NumericalError
-from pbsgame.evolution import GAConfig, StrategyPool
+from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
     SimConfig,
@@ -34,6 +34,24 @@ def test_cov_examples():
 def test_cov_rejects_empty():
     with pytest.raises(ConfigError):
         cov([])
+
+
+def test_cov_of_rows_equals_cov_of_each_row():
+    rows = np.random.default_rng(3).integers(0, 32, size=(9, 20)).astype(float)
+    rows[4] = 0.0  # a zero mean gives 0, as for a 1-D input
+    assert cov(rows).tolist() == [cov(row) for row in rows]
+
+
+def test_pools_are_views_of_the_simulation_arrays():
+    sim = Simulation(small_config(rounds=5, ga=GAConfig(trigger=1.0)))
+    sim.pools[4].codes[3] = 0b1010001010
+    sim.pools[4].fitness[3] = 2.5
+    assert (sim.codes[4, 3], sim.fitness[4, 3]) == (0b1010001010, 2.5)
+    sim.run()  # every pool is rebuilt by the GA each round, in place
+    for agent, pool in enumerate(sim.pools):
+        assert np.shares_memory(pool.codes, sim.codes[agent])
+        assert np.shares_memory(pool.fitness, sim.fitness[agent])
+    assert isinstance(sim.pools, tuple)  # a pool is written, never replaced
 
 
 def test_moving_average_window_and_purity():
@@ -109,8 +127,10 @@ def test_no_builders_all_payoffs_zero():
     assert all(v == 0.0 for v in sim.metrics.proposer_reward)
 
 
-def frozen_pool(owner, bits, size=20):
-    return StrategyPool(owner, [Chromosome(bits) for _ in range(size)], learning_rate=0.0)
+def freeze(pool, bits):
+    """Every strategy of the pool becomes ``bits``, and its fitness stops learning."""
+    pool.codes[:] = int(bits, 2)
+    pool.learning_rate = 0.0
 
 
 def test_single_builder_single_searcher_matches_settlement_formula():
@@ -126,8 +146,8 @@ def test_single_builder_single_searcher_matches_settlement_formula():
         ga=GAConfig(trigger=0.0),
     )
     sim = Simulation(config)
-    sim.pools[0] = frozen_pool(0, "10100")  # alpha = 20/31
-    sim.pools[1] = frozen_pool(1, "1010001010")
+    freeze(sim.pools[0], "10100")  # alpha = 20/31
+    freeze(sim.pools[1], "1010001010")
     alpha = 20 / 31
     beta = bid_ratio(decode_searcher(Chromosome("1010001010")), alpha)
     scenario = Scenario(values=(0.2, 0.1), graph=InteractionGraph.independent(2))
@@ -204,13 +224,13 @@ def test_summarize_keys():
 
 def test_round_decodes_no_genome_unless_recording(monkeypatch):
     calls = []
-    for name in ("decode_builder", "decode_searcher"):
+    for name in ("decode_builder", "decode_searcher", "searcher_params"):
         monkeypatch.setattr(f"pbsgame.simulation.{name}", lambda c, name=name: calls.append(name))
     Simulation(small_config(rounds=20)).run()
     assert calls == []
-    # the spies are live: a recording round decodes its searchers for the record
+    # the spies are live: a recording round decodes its searchers' codes for the record
     Simulation(small_config(rounds=1, record_rounds=True)).run()
-    assert calls == ["decode_searcher"] * 3
+    assert calls == ["searcher_params"] * 3
 
 
 def test_scenario_size_checked():

@@ -3,17 +3,19 @@
 Each example runs one small simulation and its scalar transcription from the
 same seed, and asserts that every metric series, every pool's genomes and
 fitness, the round records and the final generator state are equal (NaN
-equal to NaN).
+equal to NaN). A second property checks one GA step on its own.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbsgame.evolution import GAConfig
+from pbsgame.evolution import GAConfig, StrategyPool, evolve
 from pbsgame.simulation import MetricsSeries, SimConfig, Simulation
 from reference import FIELDS, ReferenceRun
+from reference import evolve as string_evolve
 
 
 def same(a, b) -> bool:
@@ -76,3 +78,35 @@ def test_simulation_follows_the_scalar_reference(config):
     ]
     assert same(records, reference.records)
     assert sim.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@st.composite
+def ga_steps(draw):
+    """A pool of 1-20 ``[bits, fitness]`` strategies with tie-prone fitness, its
+    temperature, the elimination and mutation rates, and a seed."""
+    width = draw(st.sampled_from([5, 10]))
+    fitness = st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-10.0, 10.0))
+    strategies = [
+        [format(draw(st.integers(0, 2**width - 1)), f"0{width}b"), draw(fitness)]
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    temperature = draw(st.one_of(st.just(2.0), st.floats(0.05, 10.0)))
+    return strategies, temperature, draw(unit(0.0, 0.5, 1.0)), draw(unit(0.0, 1.0)), draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(ga_steps())
+def test_array_ga_step_equals_the_string_ga(step):
+    strategies, temperature, elimination, mutation, seed = step
+    codes = [int(bits, 2) for bits, _ in strategies]
+    width = len(strategies[0][0])
+    pool = StrategyPool(0, width, codes, [f for _, f in strategies], temperature=temperature)
+    rng = np.random.default_rng(seed)
+    evolve(pool, GAConfig(trigger=1.0, elimination=elimination, mutation=mutation), rng)
+    reference_rng = np.random.default_rng(seed)
+    expected = string_evolve(strategies, temperature, elimination, mutation, reference_rng)
+    assert pool.bits == [bits for bits, _ in expected]
+    assert pool.fitness.tolist() == [f for _, f in expected]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
