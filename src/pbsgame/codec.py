@@ -127,7 +127,8 @@ _BID_FILLED = np.zeros(2**SEARCHER_WIDTH, dtype=bool)
 
 
 def bid_ratios(searchers: Sequence[int], builders: Sequence[int]) -> np.ndarray:
-    """The ``(searchers, builders)`` matrix of ``bid_ratio`` between genome codes.
+    """The ``(searchers, builders)`` matrix of ``bid_ratio`` between genome codes, or
+    one such matrix per row of 2-D ``searchers`` and ``builders`` (one row per replica).
 
     Codes index a table with one row per searcher genome. A row is filled on
     first use with the scalar ``bid_ratio`` (Python's ``**``), so every entry
@@ -139,4 +140,4 @@ def bid_ratios(searchers: Sequence[int], builders: Sequence[int]) -> np.ndarray:
         params = searcher_params(code)
         _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
         _BID_FILLED[code] = True
-    return _BID_TABLE[rows[:, None], cols]
+    return _BID_TABLE[rows[..., None], cols[..., None, :]]

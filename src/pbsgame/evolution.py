@@ -22,7 +22,7 @@ from .errors import CodecError, ConfigError
 POOL_SIZE = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class GAConfig:
     trigger: float = 0.01  # per-agent per-round probability of a GA step
     elimination: float = 0.5  # fraction of the pool removed
@@ -35,10 +35,12 @@ class GAConfig:
                 raise ConfigError(f"GA {name} must be in [0, 1], got {value}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class StrategyPool:
     """One agent's strategies: ``width``-bit genome codes and their fitness. In a
-    ``Simulation`` both are views onto the agent's rows of its pool arrays."""
+    ``Simulation`` both are views onto the agent's rows of its pool arrays, and the
+    temperature and learning rate are the ``SimConfig``'s. The fields cannot be
+    reassigned; the arrays' entries can."""
 
     owner: int
     width: int
@@ -48,8 +50,8 @@ class StrategyPool:
     learning_rate: float = 0.5  # step of the fitness moving average
 
     def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        self.fitness = np.asarray(self.fitness, dtype=float)
+        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.int64))
+        object.__setattr__(self, "fitness", np.asarray(self.fitness, dtype=float))
         if not self.codes.size or self.codes.ndim != 1 or self.fitness.shape != self.codes.shape:
             raise ConfigError(f"a pool needs a non-empty row of codes, one fitness each, "
                               f"got {self.codes.shape} and {self.fitness.shape}")
@@ -71,13 +73,20 @@ def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarray:
+    """One softmax roulette pick per row of ``fitness`` (any leading axes), each from the
+    uniform draw of the same index: the count of the row's cumulative probabilities <= the
+    draw, clipped to the last strategy. Each row is reduced on its own, so stacking rows
+    never changes a pick."""
+    cumulative = np.cumsum(_softmax(fitness, temperature), axis=-1)
+    picked = np.count_nonzero(cumulative <= uniforms[..., None], axis=-1)
+    return np.minimum(picked, cumulative.shape[-1] - 1)
+
+
 def select_strategies(fitness: np.ndarray, temperature, rng: np.random.Generator) -> list[int]:
-    """One roulette draw per row of ``fitness``, at a scalar or ``(rows, 1)`` temperature:
-    the count of the row's cumulative probabilities <= its draw, clipped to the last
-    strategy. ``rng.random(rows)`` equals one scalar draw per row."""
-    cumulative = np.cumsum(_softmax(fitness, temperature), axis=1)
-    picked = np.count_nonzero(cumulative <= rng.random(len(fitness))[:, None], axis=1)
-    return np.minimum(picked, cumulative.shape[1] - 1).tolist()
+    """One roulette draw per row of ``fitness``, at a scalar or ``(rows, 1)`` temperature.
+    ``rng.random(rows)`` equals one scalar draw per row."""
+    return roulette(fitness, temperature, rng.random(len(fitness))).tolist()
 
 
 def select_strategy(pool: StrategyPool, rng: np.random.Generator) -> int:

@@ -48,13 +48,7 @@ class InteractionGraph:
         """Per bundle ``k``, the bundles it zeroes when it executes as an int
         bitmask (bit ``i`` set: bundle ``i``); column ``k`` of the weights,
         computed on first use."""
-        packed = np.packbits(self._weights.T < 0, axis=1, bitorder="little")
-        width = packed.shape[1]
-        data = packed.tobytes()
-        return tuple(
-            int.from_bytes(data[k * width : (k + 1) * width], "little")
-            for k in range(len(packed))
-        )
+        return tuple(conflict_masks(self._weights.T < 0))
 
     def conflicts(self, k: int) -> frozenset[int]:
         """The bundles that bundle ``k`` zeroes when it executes."""
@@ -102,7 +96,7 @@ class Scenario:
 
 
 @lru_cache(maxsize=8)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order."""
     rows, cols = np.triu_indices(n, k=1)
     rows.setflags(write=False)
@@ -110,24 +104,40 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def draw_scenario(n: int, p_c: float, value_rate: float, rng: np.random.Generator) -> Scenario:
-    """Draw one round's private values and conflict graph.
+def conflict_masks(conflicts: np.ndarray) -> list:
+    """Row ``k`` of each boolean matrix in ``conflicts`` (shape ``(..., n, n)``) as an int
+    bitmask, bit ``i`` set where entry ``(k, i)`` is; nested lists over the leading axes."""
+    packed = np.packbits(conflicts, axis=-1, bitorder="little")
+    # zero-padded to at least one whole 64-bit word, word w holding bits 64w..64w+63
+    padded = np.zeros(packed.shape[:-1] + (max(8, -(-packed.shape[-1] // 8) * 8),), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    words = padded.view("<u8").astype(object)
+    masks = words[..., 0]
+    for w in range(1, words.shape[-1]):
+        masks = masks | words[..., w] << 64 * w
+    return masks.tolist()
 
-    Values are i.i.d. Exponential with rate ``value_rate`` (mean 1/rate). Each
-    unordered pair conflicts with probability ``p_c``.
-    """
+
+def draw_round(
+    n: int, p_c: float, value_rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's draws: ``n`` i.i.d. Exponential values with rate ``value_rate``
+    (mean 1/rate), then whether each unordered pair conflicts, with probability
+    ``p_c``, in (0, 1), (0, 2), ..., (n-2, n-1) order. Returns both arrays."""
     if n < 2:
         raise ConfigError(f"need at least 2 agents, got {n}")
     if not 0 <= p_c <= 1:
         raise ConfigError(f"conflict probability must be in [0, 1], got {p_c}")
     if value_rate <= 0:
         raise ConfigError(f"value rate must be positive, got {value_rate}")
+    values = rng.exponential(scale=1.0 / value_rate, size=n)
+    return values, rng.random(pair_indices(n)[0].size) < p_c
 
-    values = tuple(rng.exponential(scale=1.0 / value_rate, size=n).tolist())
 
-    # one draw per unordered pair, in (0, 1), (0, 2), ..., (n-2, n-1) order
-    rows, cols = _pair_indices(n)
-    conflict = rng.random(rows.size) < p_c
+def draw_scenario(n: int, p_c: float, value_rate: float, rng: np.random.Generator) -> Scenario:
+    """Draw one round's private values and conflict graph (``draw_round``)."""
+    values, conflict = draw_round(n, p_c, value_rate, rng)
+    rows, cols = pair_indices(n)
     weights = np.zeros((n, n))
     weights[rows[conflict], cols[conflict]] = weights[cols[conflict], rows[conflict]] = -1.0
-    return Scenario(values=values, graph=InteractionGraph(weights))
+    return Scenario(values=tuple(values.tolist()), graph=InteractionGraph(weights))

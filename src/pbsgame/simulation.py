@@ -1,4 +1,4 @@
-"""The round loop: role assignment, strategy play, block auction, learning.
+"""The round kernel: role assignment, strategy play, block auction, learning.
 
 Agents 0..n_builders-1 build blocks; the rest share bundles. Each round draws
 a fresh scenario, every agent plays a strategy from its pool, searchers bid to
@@ -6,17 +6,23 @@ every builder through the sigmoid of that builder's announced rebate ratio,
 each builder's greedy scan gives its block's total bid, the totals go to a
 second-price auction, only the winner's block is built and settled, and
 realized payoffs feed back into strategy fitness. Occasionally a pool is
-rebuilt by the GA. Pool state is two ``(agents, POOL_SIZE)`` arrays, genome
-codes and fitness, and each agent's ``StrategyPool`` is a view onto its rows.
+rebuilt by the GA.
 
-A simulation is strictly sequential and owns a single RNG, so a (config, seed)
-pair reproduces bit-identical results.
+``Lockstep`` plays R replicas of one shape through each round together, on
+``(R, agents, POOL_SIZE)`` arrays of genome codes and fitness; a
+``Simulation`` is one replica, and one built alone has a ``Lockstep`` of
+one. Every replica owns a single RNG and makes the same calls in the same
+order however many replicas step with it, so a (config, seed) pair
+reproduces bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -27,15 +33,17 @@ from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, 
 from .codec import SearcherParams, bid_ratios, random_codes, searcher_params
 from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
-from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, select_strategies
+from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
-from .market import Scenario, draw_scenario
+from .market import Scenario, conflict_masks, draw_round, pair_indices
+from .market import draw_scenario  # noqa: F401  the benchmark's probes wrap this name
 
 # residuals beyond this share of the winning block's value (or of 1.0 for a
 # smaller block) indicate a settlement bug, not float noise
 _RESIDUAL_HARD_LIMIT = 1e-12
 # fraction of rounds treated as post-convergence by ``summarize``
 FINAL_WINDOW = 0.1
+_ALPHAS = np.array(BUILDER_ALPHAS)
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,11 @@ class SimConfig:
             raise ConfigError(f"snapshot period must be >= 0, got {self.snapshot_every}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def shape(self) -> "SimConfig":
+        """This config but for ``p_c`` and ``seed``: replicas of one shape step in lockstep."""
+        return replace(self, p_c=0.0, seed=0)
 
     @property
     def n_agents(self) -> int:
@@ -166,126 +179,53 @@ def moving_average(series, window: int) -> list[float]:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else math.nan
+    """Mean of a sum taken strictly left to right: Python's ``sum`` of floats is
+    compensated since 3.12, so its last bit depends on the Python version."""
+    return reduce(operator.add, values) / len(values) if values else math.nan
+
+
+def _means(x: np.ndarray) -> np.ndarray:
+    """``_mean`` of each row: ``cumsum`` adds left to right too."""
+    if not x.shape[-1]:
+        return np.full(x.shape[:-1], math.nan)
+    return np.cumsum(x, axis=-1)[..., -1] / x.shape[-1]
 
 
 class Simulation:
-    """Owns the pool arrays and their per-agent views, the RNG, and the accumulated metrics."""
+    """One replica: its config, RNG, pool rows and their per-agent views, and the
+    accumulated metrics. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its
+    own when none is given, else that of a batch, whose replicas step only together
+    through ``Lockstep.run_round(sims)``."""
 
-    def __init__(self, config: SimConfig, rng: np.random.Generator | None = None):
+    def __init__(
+        self, config: SimConfig, rng: np.random.Generator | None = None,
+        lockstep: Lockstep | None = None, row: int = 0,
+    ):
+        if lockstep is None:
+            lockstep = Lockstep(config, 1)
+        elif config.shape != lockstep.config.shape:
+            raise ConfigError("lockstep replicas must differ in p_c and seed only")
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._lockstep, self._row = lockstep, row
+        # row [a]: agent a's genome codes and their fitness
+        self.codes, self.fitness = lockstep.codes[row], lockstep.fitness[row]
         widths = [BUILDER_WIDTH] * config.n_builders + [SEARCHER_WIDTH] * config.n_searchers
-        # row a: agent a's genome codes and their fitness
-        self.codes = np.array([random_codes(w, POOL_SIZE, self.rng) for w in widths])
-        self.fitness = np.zeros(self.codes.shape)
+        self.codes[:] = [random_codes(w, POOL_SIZE, self.rng) for w in widths]
         self.pools = tuple(
             StrategyPool(a, w, self.codes[a], self.fitness[a], config.temperature, config.learning_rate)
             for a, w in enumerate(widths)
         )
         self.round_index = 0
+        self.max_residual = 0.0
         self.metrics = MetricsSeries()
+        self._columns = tuple(getattr(self.metrics, name) for name in MetricsSeries.FIELDS)
         self.records: list[RoundRecord] = []
         self.snapshots: list[dict] = []
-        self.max_residual = 0.0
-        self._agents = np.arange(config.n_agents)
-        # the mean pool CoV of alpha, gamma1 and gamma2; genomes change only
-        # in a GA step, which clears it
-        self._consensus: tuple[float, float, float] | None = None
-
-    def _pool_covs(self) -> tuple[float, float, float]:
-        if self._consensus is None:
-            n_b, n, codes = self.config.n_builders, self.config.n_agents, self.codes
-            # one row per genome segment: each builder's, then each searcher's two
-            segments = (codes[:n_b], codes[n_b:] >> SEGMENT_BITS, codes[n_b:] & SEGMENT_MAX)
-            covs = cov(np.concatenate(segments)).tolist()
-            self._consensus = (_mean(covs[:n_b]), _mean(covs[n_b:n]), _mean(covs[n:]))
-        return self._consensus
 
     def run_round(self, scenario: Scenario | None = None) -> RoundRecord:
         """Play one round; draws a scenario from the owned RNG unless given one."""
-        cfg = self.config
-        n = cfg.n_agents
-        if scenario is None:
-            scenario = draw_scenario(n, cfg.p_c, cfg.value_rate, self.rng)
-        elif scenario.n != n:
-            raise ConfigError(f"scenario has {scenario.n} bundles for {n} agents")
-
-        # strategy selection, one softmax draw per agent in index order
-        temperatures = np.array([[pool.temperature] for pool in self.pools])
-        chosen = select_strategies(self.fitness, temperatures, self.rng)
-        played = self.codes[self._agents, chosen].tolist()
-        n_b = cfg.n_builders
-
-        alphas = [BUILDER_ALPHAS[code] for code in played[:n_b]]
-        betas = bid_ratios(played[n_b:], played[:n_b])
-
-        winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
-        if n_b > 0:
-            # row j: the offers to builder j in owner order, its own bundle
-            # (bid at its whole value) then every searcher's
-            width = n - n_b + 1
-            offer_owners = np.empty((n_b, width), dtype=np.intp)
-            offer_owners[:] = range(n_b - 1, n)
-            offer_owners[:, 0] = cfg.builder_ids
-            offer_values = np.empty((n_b, width))
-            offer_values[:] = scenario.values[n_b - 1 :]
-            offer_values[:, 0] = scenario.values[:n_b]
-            offer_bids = offer_values.copy()
-            offer_bids[:, 1:] *= betas.T
-            # each row in rank order, as flat indices into the offer matrices
-            ranked = rank_offers(offer_values, offer_bids) + width * np.arange(n_b)[:, None]
-            owners, values, bids = (
-                a.ravel()[ranked].tolist() for a in (offer_owners, offer_values, offer_bids)
-            )
-            masks = scenario.graph.conflict_masks
-            scans = [greedy_scan(*row, masks, cfg.capacity) for row in zip(owners, values, bids)]
-
-            def winning_block(j: int) -> Block:
-                entries = (BlockEntry(owners[j][k], values[j][k], bids[j][k]) for k in scans[j][0])
-                return Block(j, tuple(entries), cfg.capacity)
-
-            totals = {j: total for j, (_, total) in enumerate(scans)}
-            outcome = run_auction(totals, self.rng, winning_block)
-            settlement = settle(outcome, n, alphas[outcome.winner])
-            winner, payment, payoffs = outcome.winner, outcome.payment, settlement.payoffs
-            residual = conservation_residual(settlement, outcome)
-            # written so that a NaN residual fails too
-            if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
-                raise NumericalError(
-                    f"payoff conservation violated by {residual:.3e} in round {self.round_index}"
-                )
-            self.max_residual = max(self.max_residual, residual)
-
-        # only the played strategy learns; losers and the excluded see payoff 0
-        eta = np.array([pool.learning_rate for pool in self.pools])
-        played_fitness = self.fitness[self._agents, chosen]
-        self.fitness[self._agents, chosen] = (1.0 - eta) * played_fitness + eta * np.array(payoffs)
-
-        for agent in np.flatnonzero(self.rng.random(n) < cfg.ga.trigger).tolist():
-            evolve(self.pools[agent], cfg.ga, self.rng)
-            self._consensus = None
-
-        m = self.metrics
-        m.avg_bid_ratio.append(_mean(betas.ravel().tolist()))
-        m.avg_rebate_ratio.append(_mean(alphas))
-        for series, value in zip((m.cov_alpha, m.cov_gamma1, m.cov_gamma2), self._pool_covs()):
-            series.append(value)
-        m.searcher_reward.append(_mean([payoffs[i] for i in cfg.searcher_ids]))
-        m.builder_reward.append(_mean([payoffs[j] for j in cfg.builder_ids]))
-        m.proposer_reward.append(payment)
-
-        record = RoundRecord(self.round_index, {}, {}, {}, winner, payment, payoffs, residual)
-        if cfg.record_rounds:
-            record.alphas = dict(enumerate(alphas))
-            record.gammas = {i: searcher_params(played[i]) for i in cfg.searcher_ids}
-            record.betas = dict(zip(cfg.searcher_ids, map(tuple, betas.tolist())))
-            self.records.append(record)
-        self.round_index += 1
-        if cfg.snapshot_every and (
-            self.round_index % cfg.snapshot_every == 0 or self.round_index == cfg.rounds
-        ):
-            self.snapshots.append(self.snapshot())
+        (record,) = self._lockstep.run_round([self], scenario)
         return record
 
     def snapshot(self) -> dict:
@@ -302,9 +242,174 @@ class Simulation:
         }
 
     def run(self) -> MetricsSeries:
-        for _ in range(self.config.rounds):
-            self.run_round()
+        """Play the rounds left until ``config.rounds``."""
+        self._lockstep.run([self])
         return self.metrics
+
+
+class Lockstep:
+    """The pool arrays of R replicas of one ``SimConfig.shape`` and the round that plays
+    them all at once.
+
+    Pool state is two ``(R, agents, POOL_SIZE)`` arrays, genome codes and fitness; the
+    replica built with ``row=r`` owns rows ``r``. Each replica's generator makes exactly
+    the calls a lone replica makes, in the same order: a per-replica loop draws values,
+    pairs and selection uniforms, then runs the greedy scans, the auction (whose tie draw
+    it is), the settlement and its guard, and draws the GA triggers; the triggered GA
+    steps follow. Selection, bids, offer ranking, the fitness update and the metrics run
+    once per round on the stacked arrays, each row reduced on its own.
+    """
+
+    def __init__(self, config: SimConfig, size: int):
+        self.config = config
+        n, n_b, n_s = config.n_agents, config.n_builders, config.n_searchers
+        self.codes = np.zeros((size, n, POOL_SIZE), dtype=np.int64)
+        self.fitness = np.zeros(self.codes.shape)
+        self._rows = POOL_SIZE * np.arange(size * n).reshape(size, n)  # flat index of pool [r, a]
+        width = n_s + 1
+        # offer [r, j, k]: builder j's own bundle at k = 0, then searcher n_b + k - 1
+        owners = np.empty((size, n_b, width), dtype=np.intp)
+        owners[:] = range(n_b - 1, n)
+        owners[:, :, 0] = range(n_b)
+        self._owners = owners.ravel()
+        self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
+        # the mean pool CoV of alpha, gamma1 and gamma2 per replica; genomes change
+        # only in a GA step, which marks its replica stale
+        self._consensus = np.empty((size, 3))
+        self._stale = np.ones(size, dtype=bool)
+
+    def _refresh_consensus(self) -> None:
+        stale = np.flatnonzero(self._stale)
+        if stale.size:
+            n_b, n, codes = self.config.n_builders, self.config.n_agents, self.codes[stale]
+            # one row per genome segment: each builder's, then each searcher's two
+            segments = (codes[:, :n_b], codes[:, n_b:] >> SEGMENT_BITS, codes[:, n_b:] & SEGMENT_MAX)
+            covs = cov(np.concatenate(segments, axis=1))
+            for k, part in enumerate((covs[:, :n_b], covs[:, n_b:n], covs[:, n:])):
+                self._consensus[stale, k] = _means(part)
+            self._stale[stale] = False
+
+    def run_round(self, sims: Sequence[Simulation], scenario: Scenario | None = None) -> list[RoundRecord]:
+        """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``;
+        a given scenario is played by a lone replica. Returns each replica's record."""
+        cfg, size = self.config, len(self.codes)
+        n, n_b = cfg.n_agents, cfg.n_builders
+        if len(sims) != size or any(s._lockstep is not self or s._row != r for r, s in enumerate(sims)):
+            raise ConfigError("the replicas of a lockstep step together, in row order")
+        if scenario is None:
+            values = np.empty((size, n))
+            uniforms = np.empty((size, n))
+            pairs = []
+            for r, sim in enumerate(sims):
+                values[r], conflict = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
+                pairs.append(conflict)
+                uniforms[r] = sim.rng.random(n)
+            rows, cols = pair_indices(n)
+            graphs = np.zeros((size, n, n), dtype=bool)
+            graphs[:, rows, cols] = graphs[:, cols, rows] = pairs
+            masks = conflict_masks(graphs)
+        elif size != 1:
+            raise ConfigError("a given scenario is played by a lone replica")
+        elif scenario.n != n:
+            raise ConfigError(f"scenario has {scenario.n} bundles for {n} agents")
+        else:
+            values = np.array([scenario.values])
+            masks = [scenario.graph.conflict_masks]
+            uniforms = sims[0].rng.random(n)[None]
+
+        # strategy selection, one softmax draw per agent
+        played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
+        played = self.codes.reshape(-1)[played_at]
+        alphas = _ALPHAS[played[:, :n_b]]
+        betas = bid_ratios(played[:, n_b:], played[:, :n_b])
+
+        if n_b > 0:
+            # row [r, j]: the offers to builder j in owner order, its own bundle (bid at
+            # its whole value) then every searcher's; ranked as flat indices
+            offer_values = np.empty((size, n_b, n - n_b + 1))
+            offer_values[:] = values[:, None, n_b - 1 :]
+            offer_values[:, :, 0] = values[:, :n_b]
+            offer_bids = offer_values.copy()
+            offer_bids[:, :, 1:] *= betas.transpose(0, 2, 1)
+            ranked = rank_offers(offer_values, offer_bids) + self._offsets
+            offers = zip(
+                self._owners[ranked].tolist(),
+                offer_values.ravel()[ranked].tolist(),
+                offer_bids.ravel()[ranked].tolist(),
+                masks,
+                alphas.tolist(),
+            )
+        outcomes = []
+        triggers = np.empty((size, n))
+        for r, sim in enumerate(sims):
+            winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
+            if n_b > 0:
+                owners, worths, bids, bundle_masks, rebates = next(offers)
+                scans = [
+                    greedy_scan(*row, bundle_masks, cfg.capacity) for row in zip(owners, worths, bids)
+                ]
+
+                def winning_block(j: int) -> Block:
+                    entries = (BlockEntry(owners[j][k], worths[j][k], bids[j][k]) for k in scans[j][0])
+                    return Block(j, tuple(entries), cfg.capacity)
+
+                totals = {j: total for j, (_, total) in enumerate(scans)}
+                outcome = run_auction(totals, sim.rng, winning_block)
+                settlement = settle(outcome, n, rebates[outcome.winner])
+                winner, payment, payoffs = outcome.winner, outcome.payment, settlement.payoffs
+                residual = conservation_residual(settlement, outcome)
+                # written so that a NaN residual fails too
+                if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
+                    raise NumericalError(
+                        f"payoff conservation violated by {residual:.3e} in round {sim.round_index}"
+                    )
+                sim.max_residual = max(sim.max_residual, residual)
+            outcomes.append((winner, payment, payoffs, residual))
+            triggers[r] = sim.rng.random(n)
+
+        # only the played strategy learns; losers and the excluded see payoff 0
+        eta = cfg.learning_rate
+        rewards = np.array([outcome[2] for outcome in outcomes])
+        fitness = self.fitness.reshape(-1)
+        fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * rewards
+
+        for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
+            sim = sims[r]
+            evolve(sim.pools[agent], cfg.ga, sim.rng)
+            self._stale[r] = True
+        self._refresh_consensus()
+
+        metrics = np.column_stack((
+            _means(betas.reshape(size, -1)),
+            _means(alphas),
+            self._consensus,
+            _means(rewards[:, n_b:]),
+            _means(rewards[:, :n_b]),
+        )).tolist()
+        records = []
+        for sim, row, (winner, payment, payoffs, residual), alpha_row, beta_rows, codes in zip(
+            sims, metrics, outcomes, alphas.tolist(), betas.tolist(), played.tolist()
+        ):
+            for column, value in zip(sim._columns, (*row, payment)):
+                column.append(value)
+            record = RoundRecord(sim.round_index, {}, {}, {}, winner, payment, payoffs, residual)
+            if cfg.record_rounds:
+                record.alphas = dict(enumerate(alpha_row))
+                record.gammas = {i: searcher_params(codes[i]) for i in cfg.searcher_ids}
+                record.betas = dict(zip(cfg.searcher_ids, map(tuple, beta_rows)))
+                sim.records.append(record)
+            sim.round_index += 1
+            if cfg.snapshot_every and (
+                sim.round_index % cfg.snapshot_every == 0 or sim.round_index == cfg.rounds
+            ):
+                sim.snapshots.append(sim.snapshot())
+            records.append(record)
+        return records
+
+    def run(self, sims: Sequence[Simulation]) -> None:
+        """Play the rounds left until ``config.rounds``."""
+        for _ in range(self.config.rounds - sims[0].round_index):
+            self.run_round(sims)
 
 
 def final_window_mean(series, fraction: float) -> float:

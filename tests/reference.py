@@ -22,6 +22,8 @@ held as bit strings, in the order the round consumes its generator:
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -51,7 +53,8 @@ def bid_ratio(gammas: tuple[float, float], alpha: float) -> float:
 
 
 def mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else math.nan
+    # strictly left to right: ``sum`` of floats is compensated since Python 3.12
+    return reduce(operator.add, values) / len(values) if values else math.nan
 
 
 def roulette(fitness: list[float], temperature: float, u: float) -> int:

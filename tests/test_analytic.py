@@ -223,7 +223,6 @@ def test_two_builder_simulation_reproduces_expected_payoff():
     sim = Simulation(config)
     for pool, bits in zip(sim.pools, (alpha1_bits, alpha2_bits, searcher_bits)):
         pool.codes[:] = int(bits, 2)
-        pool.learning_rate = 0.0
 
     rng = np.random.default_rng(99)
     n_rounds = 40_000

@@ -3,7 +3,7 @@ import pytest
 
 from pbsgame.builder import BlockEntry, build_block
 from pbsgame.errors import ConfigError
-from pbsgame.market import InteractionGraph, Scenario, draw_scenario
+from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
 
 
 def _after_first(value, graph):
@@ -116,3 +116,12 @@ def test_graph_conflict_pairs_round_trip():
     assert g.weight(2, 0) == -1.0
     assert g.weight(0, 1) == 0.0
     assert [g.conflicts(k) for k in range(4)] == [{2}, {3}, {0}, {1}]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 7, 7), (2, 2, 64, 64), (65, 65), (2, 130, 130)])
+def test_conflict_masks_set_bit_i_of_row_k_where_entry_k_i_is(shape):
+    conflicts = np.random.default_rng(sum(shape)).random(shape) < 0.5
+    expected = np.zeros(shape[:-1], dtype=object)
+    for i in range(shape[-1]):
+        expected = expected + (conflicts[..., i].astype(object) << i)
+    assert conflict_masks(conflicts) == expected.tolist()

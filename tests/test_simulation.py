@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+import pbsgame.sweep
 
 from pbsgame.auction import Settlement, settle
 from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
@@ -9,6 +12,7 @@ from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
+    Lockstep,
     SimConfig,
     Simulation,
     cov,
@@ -128,9 +132,9 @@ def test_no_builders_all_payoffs_zero():
 
 
 def freeze(pool, bits):
-    """Every strategy of the pool becomes ``bits``, and its fitness stops learning."""
+    """Every strategy of the pool becomes ``bits``; a zero learning rate in the config
+    keeps its fitness from learning."""
     pool.codes[:] = int(bits, 2)
-    pool.learning_rate = 0.0
 
 
 def test_single_builder_single_searcher_matches_settlement_formula():
@@ -263,6 +267,133 @@ def test_run_replicas_returns_results_in_task_order(jobs):
         sim.run()
         expected.append(summarize(sim))
     assert run_replicas(tasks, jobs) == expected
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor without starting a process: records the worker
+    count it is opened with and runs the batches inline."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, batches, chunksize=1):
+        return map(fn, batches)
+
+
+@pytest.mark.parametrize(
+    "n_tasks, jobs, cpus, workers",
+    [
+        (2, 100_000, 64, [2]),  # never more workers than batches
+        (10, 8, 3, [3]),  # nor than CPUs
+        (10, 8, None, []),  # an unknown CPU count means one, so no pool
+        (1, 4, 64, []),  # one batch runs in this process
+        (70, 4, 64, [4]),
+        (100, 1, 64, []),  # at most MAX_BATCH replicas a batch
+    ],
+)
+def test_worker_count_is_capped_by_batches_and_cpus(monkeypatch, n_tasks, jobs, cpus, workers):
+    monkeypatch.setattr(RecordingPool, "opened", [])
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    batches = []
+
+    def fake_batch(tasks):
+        batches.append(len(tasks))
+        return [{"task": indices} for _, _, indices in tasks]
+
+    monkeypatch.setattr(pbsgame.sweep, "_run_batch", fake_batch)
+    tasks = [(small_config(p_c=0.1 * (k % 3)), 7, (k,)) for k in range(n_tasks)]
+    assert run_replicas(tasks, jobs) == [{"task": (k,)} for k in range(n_tasks)]
+    assert RecordingPool.opened == workers
+    size = min(pbsgame.sweep.MAX_BATCH, -(-n_tasks // jobs))
+    assert max(batches) <= size and max(batches) - min(batches) <= 1
+    assert len(batches) == -(-n_tasks // size)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_is_refused(monkeypatch, jobs):
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(ConfigError, match="jobs"):
+        run_replicas([(small_config(rounds=5), 7, (0,))], jobs)
+
+
+def test_tasks_are_batched_by_shape(monkeypatch):
+    batches = []
+    original = pbsgame.sweep._run_batch
+
+    def spy(tasks):
+        batches.append([indices for _, _, indices in tasks])
+        return original(tasks)
+
+    monkeypatch.setattr(pbsgame.sweep, "_run_batch", spy)
+    tasks = [
+        (small_config(rounds=5, p_c=0.2), 1, (0,)),
+        (small_config(rounds=5, n_builders=2), 1, (1,)),
+        (small_config(rounds=5, p_c=0.9, seed=3), 1, (2,)),
+    ]
+    run_replicas(tasks, jobs=1)
+    assert batches == [[(0,), (2,)], [(1,)]]
+
+
+def test_lockstep_takes_one_shape_and_steps_its_replicas_together():
+    configs = [small_config(rounds=5), small_config(rounds=5, p_c=0.1, seed=4)]
+    lockstep = Lockstep(configs[0], 2)
+    with pytest.raises(ConfigError, match="p_c and seed"):
+        Simulation(small_config(rounds=6), None, lockstep, 1)
+    sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
+    scenario = Scenario(values=(0.1,) * 6, graph=InteractionGraph.independent(6))
+    with pytest.raises(ConfigError, match="lone replica"):
+        lockstep.run_round(sims, scenario)
+    for wrong in (sims[:1], sims[::-1], [sims[0], Simulation(configs[1])]):
+        with pytest.raises(ConfigError, match="step together"):
+            lockstep.run_round(wrong)
+    with pytest.raises(ConfigError, match="step together"):
+        sims[0].run()
+    assert [sim.round_index for sim in sims] == [0, 0]
+    lockstep.run(sims)
+    assert [sim.round_index for sim in sims] == [5, 5]
+
+
+def test_pool_settings_are_the_configs_and_read_only():
+    sim = Simulation(small_config(temperature=0.5, learning_rate=0.25))
+    assert {(pool.temperature, pool.learning_rate) for pool in sim.pools} == {(0.5, 0.25)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sim.pools[0].learning_rate = 0.0
+
+
+def test_configs_are_hashable_and_equal_configs_hash_equal():
+    a, b = SimConfig(1, 1, 1, 0.5), SimConfig(1, 1, 1, 0.5, ga=GAConfig())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, SimConfig(1, 1, 1, 0.25)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.ga.trigger = 0.5
+
+
+def test_window_means_add_left_to_right():
+    # a compensated sum (Python's ``sum`` since 3.12) would keep the 1.0: 1/3
+    assert final_window_mean([1e16, 1.0, -1e16], 1.0) == 0.0
+
+
+def test_run_plays_only_the_rounds_left():
+    sim = Simulation(small_config(rounds=50, snapshot_every=25))
+    for _ in range(5):
+        sim.run_round()
+    sim.run()
+    whole = Simulation(small_config(rounds=50, snapshot_every=25))
+    whole.run()
+    assert sim.round_index == 50 and len(sim.metrics) == 50
+    assert [s["round"] for s in sim.snapshots] == [25, 50]
+    assert sim.metrics == whole.metrics and sim.snapshots == whole.snapshots
+    sim.run()  # nothing is left
+    assert sim.round_index == 50
 
 
 def test_sweep_shape_and_determinism_across_jobs():

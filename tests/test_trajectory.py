@@ -3,17 +3,23 @@
 Each example runs one small simulation and its scalar transcription from the
 same seed, and asserts that every metric series, every pool's genomes and
 fitness, the round records and the final generator state are equal (NaN
-equal to NaN). A second property checks one GA step on its own.
+equal to NaN). The lockstep property does the same for every replica of a
+batch stepped together, and the replica-runner property checks that batching
+tasks by shape returns, in task order, what one simulation per task returns.
+A further property checks one GA step on its own.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbsgame.evolution import GAConfig, StrategyPool, evolve
-from pbsgame.simulation import MetricsSeries, SimConfig, Simulation
+from pbsgame.simulation import Lockstep, MetricsSeries, SimConfig, Simulation, summarize
+from pbsgame.sweep import replica_rng, run_replicas
 from reference import FIELDS, ReferenceRun
 from reference import evolve as string_evolve
 
@@ -57,13 +63,8 @@ def configs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(configs())
-def test_simulation_follows_the_scalar_reference(config):
-    sim = Simulation(config)
-    sim.run()
+def assert_follows_the_reference(sim, config):
     reference = ReferenceRun(config).run()
-
     assert FIELDS == MetricsSeries.FIELDS
     for name in FIELDS:
         assert same(getattr(sim.metrics, name), reference.series[name]), name
@@ -78,6 +79,62 @@ def test_simulation_follows_the_scalar_reference(config):
     ]
     assert same(records, reference.records)
     assert sim.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_simulation_follows_the_scalar_reference(config):
+    sim = Simulation(config)
+    sim.run()
+    assert_follows_the_reference(sim, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.sampled_from([1, 2, 7]), st.data())
+def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, data):
+    configs = [
+        replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(replicas)
+    ]
+    lockstep = Lockstep(shape, replicas)
+    sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
+    lockstep.run(sims)
+    for sim, config in zip(sims, configs):
+        assert_follows_the_reference(sim, config)
+
+
+@st.composite
+def task_lists(draw):
+    """Replica tasks of 2-4 shapes, one without builders and one with a lone task,
+    in a drawn order; each task has its own p_c, master seed and seed indices."""
+    shapes = [
+        replace(draw(configs()), rounds=draw(st.integers(1, 25)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shapes.append(replace(shapes[0], n_builders=0, n_searchers=draw(st.integers(2, 6)), capacity=None))
+    counts = [1] + [draw(st.integers(1, 6)) for _ in shapes[1:]]
+    tasks = [
+        (
+            replace(shape, p_c=draw(unit(0.0, 1.0))),
+            draw(st.integers(0, 2**32 - 1)),
+            tuple(draw(st.lists(st.integers(0, 9), max_size=3))),
+        )
+        for shape, count in zip(shapes, counts)
+        for _ in range(count)
+    ]
+    return draw(st.permutations(tasks))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(task_lists())
+def test_batched_replicas_equal_one_simulation_per_task(jobs, tasks):
+    expected = []
+    for config, master_seed, indices in tasks:
+        sim = Simulation(config, rng=replica_rng(master_seed, *indices))
+        sim.run()
+        expected.append(summarize(sim))
+    assert same(run_replicas(tasks, jobs), expected)
 
 
 @st.composite
