@@ -4,13 +4,14 @@ Builders submit truthful bids equal to the total value their block captures.
 The winner pays the second-highest bid to the proposer, keeps the surplus, and
 rebates a fraction of it to the searchers whose bundles it included, pro rata
 by their bids. Every unit of captured value ends up with exactly one party, so
-settlement conserves the winning block's total effective value.
+settlement conserves the winning block's total effective value. The round calls
+``second_price`` and ``distribute`` on plain values; ``run_auction`` and ``settle`` wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,30 +37,23 @@ class Settlement:
         return self.proposer + sum(self.payoffs)
 
 
-def run_auction(
-    bids: dict[int, float], rng: np.random.Generator, block_of: Callable[[int], Block]
-) -> AuctionOutcome:
-    """Pick the winner at the second-highest truthful bid, from the bids alone.
+def second_price(totals: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
+    """The winning position in ``totals`` and its payment, the second-highest total.
 
-    ``bids`` maps each builder to its block's total bid; only the winner's
-    block is then asked for, as ``block_of(winner)``. Exact bid ties are
-    broken uniformly at random among the tied builders in ``bids`` order;
-    the generator is only consumed when a tie actually occurs.
+    An exact tie is broken uniformly at random among the tied positions in
+    order; the generator is only consumed when a tie actually occurs.
     """
-    if not bids:
+    if not totals:
         raise ConfigError("no builders this round; nothing to auction")
-    top = max(bids.values())
-    tied = [b for b, bid in bids.items() if bid == top]
-    winner = tied[0] if len(tied) == 1 else int(tied[rng.integers(len(tied))])
-    others = [bid for b, bid in bids.items() if b != winner]
-    payment = max(others) if others else 0.0
-    return AuctionOutcome(
-        winner=winner, winning_block=block_of(winner), payment=payment, bids=dict(bids)
-    )
+    top = max(totals)
+    tied = [k for k, total in enumerate(totals) if total == top]
+    winner = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+    return winner, max(totals[:winner] + totals[winner + 1 :], default=0.0)
 
 
-def settle(outcome: AuctionOutcome, n_agents: int, rebate_ratio: float) -> Settlement:
-    """Distribute the winning block's value among searchers, winner, and proposer.
+def distribute(winner: int, payment: float, total_bid: float, entries: Sequence[tuple[int, float, float]],
+               rebate_ratio: float, n_agents: int) -> list[float]:
+    """Every agent's payoff from the winning block's ``(owner, value, bid)`` entries.
 
     Included searchers keep their unbid value plus a pro-rata share of the
     rebate pool rebate_ratio * (total bid - payment). With no searcher bundle
@@ -67,21 +61,33 @@ def settle(outcome: AuctionOutcome, n_agents: int, rebate_ratio: float) -> Settl
     surplus. Losing builders and excluded searchers get 0.
     """
     payoffs = [0.0] * n_agents
-    block = outcome.winning_block
-    surplus = block.total_bid - outcome.payment
-
-    searcher_entries = [e for e in block.entries if e.owner != outcome.winner]
-    searcher_bid_sum = sum(e.bid for e in searcher_entries)
+    surplus = total_bid - payment
+    searcher_entries = [e for e in entries if e[0] != winner]
+    searcher_bid_sum = sum(e[2] for e in searcher_entries)
     rebate_pool = rebate_ratio * surplus if searcher_bid_sum > 0 else 0.0
-
-    for entry in searcher_entries:
-        share = entry.bid / searcher_bid_sum if searcher_bid_sum > 0 else 0.0
-        payoffs[entry.owner] += (entry.value - entry.bid) + share * rebate_pool
-    payoffs[outcome.winner] += surplus - rebate_pool
-
-    return Settlement(payoffs=tuple(payoffs), proposer=outcome.payment)
+    for owner, value, bid in searcher_entries:
+        share = bid / searcher_bid_sum if searcher_bid_sum > 0 else 0.0
+        payoffs[owner] += (value - bid) + share * rebate_pool
+    payoffs[winner] += surplus - rebate_pool
+    return payoffs
 
 
-def conservation_residual(settlement: Settlement, outcome: AuctionOutcome) -> float:
-    """Absolute gap between distributed payoffs and the block's captured value."""
-    return abs(settlement.total - outcome.winning_block.total_value)
+def conservation_residual(distributed: float, captured: float) -> float:
+    """Absolute gap between the value paid out (payoffs plus payment) and the value captured."""
+    return abs(distributed - captured)
+
+
+def run_auction(bids: dict[int, float], rng: np.random.Generator,
+                block_of: Callable[[int], Block]) -> AuctionOutcome:
+    """``second_price`` over ``bids``, each builder's block total, ties drawn in ``bids``
+    order; only the winner's block is then asked for, as ``block_of(winner)``."""
+    position, payment = second_price(list(bids.values()), rng)
+    winner = list(bids)[position]
+    return AuctionOutcome(winner, block_of(winner), payment, dict(bids))
+
+
+def settle(outcome: AuctionOutcome, n_agents: int, rebate_ratio: float) -> Settlement:
+    """``distribute`` the winning block's value among searchers, winner, and proposer."""
+    winner, block, payment = outcome.winner, outcome.winning_block, outcome.payment
+    payoffs = distribute(winner, payment, block.total_bid, block.entries, rebate_ratio, n_agents)
+    return Settlement(tuple(payoffs), payment)

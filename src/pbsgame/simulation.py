@@ -14,6 +14,9 @@ rebuilt by the GA.
 one. Every replica owns a single RNG and makes the same calls in the same
 order however many replicas step with it, so a (config, seed) pair
 reproduces bit-identical results.
+
+No round reads the pool consensus (the ``cov_*`` series), so a round only logs the
+codes each GA step leaves; ``Simulation.metrics`` fills the series when read.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import conservation_residual, run_auction, settle
-from .builder import Block, BlockEntry, greedy_scan, rank_offers
+from .auction import conservation_residual, distribute, second_price
+from .auction import run_auction, settle  # noqa: F401  the benchmark's layer probes wrap these
+from .builder import greedy_scan, rank_offers
 from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
 from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, SEGMENT_MAX
 from .codec import SearcherParams, bid_ratios, random_codes, searcher_params
@@ -44,6 +48,8 @@ _RESIDUAL_HARD_LIMIT = 1e-12
 # fraction of rounds treated as post-convergence by ``summarize``
 FINAL_WINDOW = 0.1
 _ALPHAS = np.array(BUILDER_ALPHAS)
+# GA steps a replica logs before its consensus series are filled without a read
+LOG_FLUSH = 128
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,12 @@ class SimConfig:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.p_c <= 1:
             raise ConfigError(f"conflict probability must be in [0, 1], got {self.p_c}")
-        # the value scale 1/rate must be finite and positive too: 1/1e-320 is inf
-        if not (self.value_rate > 0 and 0 < 1 / self.value_rate < math.inf):
-            raise ConfigError(
-                f"value rate and its inverse must be positive and finite, got {self.value_rate}"
-            )
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # the value scale 1/rate and the softmax scale 1/temperature must be finite and
+        # positive too: 1e-320 is positive, and 1/1e-320 is inf
+        for name in ("value_rate", "temperature"):
+            if not (getattr(self, name) > 0 and 0 < 1 / getattr(self, name) < math.inf):
+                raise ConfigError(f"{name.replace('_', ' ')} and its inverse must be positive "
+                                  f"and finite, got {getattr(self, name)}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
         if self.ma_window < 1:
@@ -146,6 +151,7 @@ class MetricsSeries:
         "builder_reward",
         "proposer_reward",
     )
+    CONSENSUS = ("cov_alpha", "cov_gamma1", "cov_gamma2")  # filled on read
 
     def __len__(self) -> int:
         return len(self.avg_bid_ratio)
@@ -184,11 +190,22 @@ def _mean(values: list[float]) -> float:
     return reduce(operator.add, values) / len(values) if values else math.nan
 
 
-def _means(x: np.ndarray) -> np.ndarray:
-    """``_mean`` of each row: ``cumsum`` adds left to right too."""
-    if not x.shape[-1]:
-        return np.full(x.shape[:-1], math.nan)
-    return np.cumsum(x, axis=-1)[..., -1] / x.shape[-1]
+def _means(*parts: np.ndarray) -> np.ndarray:
+    """``_mean`` of each row of each 2-D part as a (rows, parts) array, NaN for width 0: one
+    left-to-right ``cumsum`` over the parts padded with zeros, which leave each sum as is."""
+    widths = [part.shape[1] for part in parts]
+    padded = np.zeros((len(parts[0]), len(parts), max(*widths, 1)))
+    for k, part in enumerate(parts):
+        padded[:, k, : widths[k]] = part
+    sums = np.cumsum(padded, axis=-1)[:, range(len(parts)), [max(w, 1) - 1 for w in widths]]
+    return sums / np.array([w or math.nan for w in widths])
+
+
+def _segment_covs(codes: np.ndarray) -> list[list[float]]:
+    """Per leading row of ``(rows, ..., POOL_SIZE)`` codes, the ``cov`` of each pool's high
+    and then of its low five bits, for every pool in turn."""
+    covs = cov(np.stack((codes >> SEGMENT_BITS, codes & SEGMENT_MAX), axis=-2))
+    return covs.reshape(len(codes), -1).tolist()
 
 
 class Simulation:
@@ -218,8 +235,13 @@ class Simulation:
         )
         self.round_index = 0
         self.max_residual = 0.0
-        self.metrics = MetricsSeries()
-        self._columns = tuple(getattr(self.metrics, name) for name in MetricsSeries.FIELDS)
+        self._metrics = MetricsSeries()
+        fields = [name for name in MetricsSeries.FIELDS if name not in MetricsSeries.CONSENSUS]
+        self._columns = [getattr(self._metrics, name) for name in fields]
+        # ``_segment_covs`` of every pool as of the last fill (the first is the first
+        # round's), and each GA step since, as (round, agent, codes)
+        self._pool_covs: list[float] | None = None
+        self._log: list[tuple[int, int, np.ndarray]] = []
         self.records: list[RoundRecord] = []
         self.snapshots: list[dict] = []
 
@@ -241,6 +263,33 @@ class Simulation:
             ],
         }
 
+    @property
+    def metrics(self) -> MetricsSeries:
+        """Every series up to ``round_index``."""
+        self._fill_consensus()
+        return self._metrics
+
+    def _fill_consensus(self) -> None:
+        """Extend the consensus series to ``round_index``: one ``cov`` over the logged pools,
+        then each role's ``_means`` after each step; a round takes those after its last."""
+        start, n_b = len(self._metrics.cov_alpha), self.config.n_builders
+        if start == self.round_index:
+            return
+        states, rounds = [self._pool_covs], [t for t, _, _ in self._log]
+        if self._log:
+            pairs = _segment_covs(np.array([codes for _, _, codes in self._log]))
+            for (_, agent, _), pair in zip(self._log, pairs):
+                states.append(list(states[-1]))
+                states[-1][2 * agent : 2 * agent + 2] = pair
+            self._log.clear()
+        # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
+        covs = np.array(states)
+        means = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
+        latest = np.searchsorted(rounds, np.arange(start, self.round_index), side="right")
+        for name, column in zip(MetricsSeries.CONSENSUS, means[latest].T.tolist()):
+            getattr(self._metrics, name).extend(column)
+        self._pool_covs = states[-1]
+
     def run(self) -> MetricsSeries:
         """Play the rounds left until ``config.rounds``."""
         self._lockstep.run([self])
@@ -256,8 +305,9 @@ class Lockstep:
     the calls a lone replica makes, in the same order: a per-replica loop draws values,
     pairs and selection uniforms, then runs the greedy scans, the auction (whose tie draw
     it is), the settlement and its guard, and draws the GA triggers; the triggered GA
-    steps follow. Selection, bids, offer ranking, the fitness update and the metrics run
-    once per round on the stacked arrays, each row reduced on its own.
+    steps follow, each logged by its replica. Selection, bids, offer ranking, the fitness
+    update and the per-round metrics run once per round on the stacked arrays, each row
+    reduced on its own; the first round takes every pool's CoV, batched over replicas.
     """
 
     def __init__(self, config: SimConfig, size: int):
@@ -273,21 +323,6 @@ class Lockstep:
         owners[:, :, 0] = range(n_b)
         self._owners = owners.ravel()
         self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
-        # the mean pool CoV of alpha, gamma1 and gamma2 per replica; genomes change
-        # only in a GA step, which marks its replica stale
-        self._consensus = np.empty((size, 3))
-        self._stale = np.ones(size, dtype=bool)
-
-    def _refresh_consensus(self) -> None:
-        stale = np.flatnonzero(self._stale)
-        if stale.size:
-            n_b, n, codes = self.config.n_builders, self.config.n_agents, self.codes[stale]
-            # one row per genome segment: each builder's, then each searcher's two
-            segments = (codes[:, :n_b], codes[:, n_b:] >> SEGMENT_BITS, codes[:, n_b:] & SEGMENT_MAX)
-            covs = cov(np.concatenate(segments, axis=1))
-            for k, part in enumerate((covs[:, :n_b], covs[:, n_b:n], covs[:, n:])):
-                self._consensus[stale, k] = _means(part)
-            self._stale[stale] = False
 
     def run_round(self, sims: Sequence[Simulation], scenario: Scenario | None = None) -> list[RoundRecord]:
         """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``;
@@ -348,18 +383,14 @@ class Lockstep:
                 scans = [
                     greedy_scan(*row, bundle_masks, cfg.capacity) for row in zip(owners, worths, bids)
                 ]
-
-                def winning_block(j: int) -> Block:
-                    entries = (BlockEntry(owners[j][k], worths[j][k], bids[j][k]) for k in scans[j][0])
-                    return Block(j, tuple(entries), cfg.capacity)
-
-                totals = {j: total for j, (_, total) in enumerate(scans)}
-                outcome = run_auction(totals, sim.rng, winning_block)
-                settlement = settle(outcome, n, rebates[outcome.winner])
-                winner, payment, payoffs = outcome.winner, outcome.payment, settlement.payoffs
-                residual = conservation_residual(settlement, outcome)
+                winner, payment = second_price([total for _, total in scans], sim.rng)
+                picked, total = scans[winner]
+                entries = [(owners[winner][k], worths[winner][k], bids[winner][k]) for k in picked]
+                payoffs = tuple(distribute(winner, payment, total, entries, rebates[winner], n))
+                captured = sum(entry[1] for entry in entries)
+                residual = conservation_residual(payment + sum(payoffs), captured)
                 # written so that a NaN residual fails too
-                if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, outcome.winning_block.total_value):
+                if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, captured):
                     raise NumericalError(
                         f"payoff conservation violated by {residual:.3e} in round {sim.round_index}"
                     )
@@ -373,32 +404,31 @@ class Lockstep:
         fitness = self.fitness.reshape(-1)
         fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * rewards
 
+        if sims[0]._pool_covs is None:
+            for sim, covs in zip(sims, _segment_covs(self.codes)):
+                sim._pool_covs = covs
         for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
             sim = sims[r]
             evolve(sim.pools[agent], cfg.ga, sim.rng)
-            self._stale[r] = True
-        self._refresh_consensus()
+            sim._log.append((sim.round_index, agent, sim.codes[agent].copy()))
 
-        metrics = np.column_stack((
-            _means(betas.reshape(size, -1)),
-            _means(alphas),
-            self._consensus,
-            _means(rewards[:, n_b:]),
-            _means(rewards[:, :n_b]),
-        )).tolist()
+        metrics = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b]).tolist()
+        if cfg.record_rounds:
+            recorded = zip(alphas.tolist(), betas.tolist(), played.tolist())
         records = []
-        for sim, row, (winner, payment, payoffs, residual), alpha_row, beta_rows, codes in zip(
-            sims, metrics, outcomes, alphas.tolist(), betas.tolist(), played.tolist()
-        ):
+        for sim, row, (winner, payment, payoffs, residual) in zip(sims, metrics, outcomes):
             for column, value in zip(sim._columns, (*row, payment)):
                 column.append(value)
             record = RoundRecord(sim.round_index, {}, {}, {}, winner, payment, payoffs, residual)
             if cfg.record_rounds:
+                alpha_row, beta_rows, codes = next(recorded)
                 record.alphas = dict(enumerate(alpha_row))
                 record.gammas = {i: searcher_params(codes[i]) for i in cfg.searcher_ids}
                 record.betas = dict(zip(cfg.searcher_ids, map(tuple, beta_rows)))
                 sim.records.append(record)
             sim.round_index += 1
+            if len(sim._log) >= LOG_FLUSH:
+                sim._fill_consensus()
             if cfg.snapshot_every and (
                 sim.round_index % cfg.snapshot_every == 0 or sim.round_index == cfg.rounds
             ):
@@ -414,7 +444,7 @@ class Lockstep:
 
 def final_window_mean(series, fraction: float) -> float:
     """Mean over the trailing fraction of a series, NaN-aware."""
-    values = [v for v in series]
+    values = list(series)
     start = max(0, len(values) - max(1, int(len(values) * fraction)))
     tail = [v for v in values[start:] if not math.isnan(v)]
     return _mean(tail)
@@ -423,14 +453,7 @@ def final_window_mean(series, fraction: float) -> float:
 def summarize(sim: Simulation) -> dict[str, float]:
     """Post-convergence averages over the final FINAL_WINDOW of the rounds."""
     m = sim.metrics
-    return {
-        "bid_ratio": final_window_mean(m.avg_bid_ratio, FINAL_WINDOW),
-        "rebate_ratio": final_window_mean(m.avg_rebate_ratio, FINAL_WINDOW),
-        "searcher_reward": final_window_mean(m.searcher_reward, FINAL_WINDOW),
-        "builder_reward": final_window_mean(m.builder_reward, FINAL_WINDOW),
-        "proposer_reward": final_window_mean(m.proposer_reward, FINAL_WINDOW),
-        "cov_alpha": final_window_mean(m.cov_alpha, FINAL_WINDOW),
-        "cov_gamma1": final_window_mean(m.cov_gamma1, FINAL_WINDOW),
-        "cov_gamma2": final_window_mean(m.cov_gamma2, FINAL_WINDOW),
-        "max_residual": sim.max_residual,
-    }
+    names = ("avg_bid_ratio", "avg_rebate_ratio", "searcher_reward", "builder_reward",
+             "proposer_reward", *MetricsSeries.CONSENSUS)
+    means = {name.removeprefix("avg_"): final_window_mean(getattr(m, name), FINAL_WINDOW) for name in names}
+    return {**means, "max_residual": sim.max_residual}

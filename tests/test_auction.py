@@ -87,7 +87,7 @@ def test_settle_single_builder_example(alpha):
     assert settlement.payoffs[1] == pytest.approx(0.05 + alpha * 0.25)
     assert settlement.payoffs[0] == pytest.approx((1 - alpha) * 0.25)
     assert settlement.proposer == 0.0
-    assert conservation_residual(settlement, outcome) < 1e-12
+    assert conservation_residual(settlement.total, outcome.winning_block.total_value) < 1e-12
 
 
 def test_settle_no_rebate_at_zero_alpha():
@@ -111,7 +111,7 @@ def test_no_searchers_included_builder_keeps_surplus():
     settlement = settle(outcome, 2, 0.6)
     assert settlement.payoffs[0] == pytest.approx(0.15)
     assert settlement.proposer == pytest.approx(0.05)
-    assert conservation_residual(settlement, outcome) < 1e-12
+    assert conservation_residual(settlement.total, outcome.winning_block.total_value) < 1e-12
 
 
 def test_losing_builders_get_zero():
@@ -142,7 +142,7 @@ def test_conservation_on_random_settlements():
     for _ in range(500):
         outcome = random_outcome(rng)
         settlement = settle(outcome, 10, float(rng.uniform(0, 1)))
-        assert conservation_residual(settlement, outcome) < 1e-12
+        assert conservation_residual(settlement.total, outcome.winning_block.total_value) < 1e-12
         assert all(p >= -1e-15 for p in settlement.payoffs)
 
 

@@ -286,6 +286,8 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["egta", "--alpha", "1:inf:1"], None, "finite"),
         # NaN passed `temperature <= 0`, and every softmax drew strategy 0
         (["simulate", *SIM_ARGS, "--temperature", "nan"], None, "temperature"),
+        # positive, but 1/1e-320 overflows: every softmax warned of an overflow in divide
+        (["simulate", *SIM_ARGS, "--temperature", "1e-320"], None, "temperature"),
         # finite, but 1/1e-320 overflows: every value was inf and every reward NaN
         (["simulate", *SIM_ARGS, "--value-rate", "1e-320"], None, "value rate"),
         # numpy's seeding raised ValueError with a traceback for each of these
@@ -300,6 +302,7 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
          "verify-no-points", "verify-negative-points", "mc-samples-0", "mc-samples-1",
          "mc-samples-negative", "mc-samples-1e20", "mc-samples-1e18", "mc-samples-2e18",
          "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf", "temperature-nan",
+         "temperature-1e-320",
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
          "egta-negative-seed", "verify-negative-seed", "config-negative-seed"],
 )

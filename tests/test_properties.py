@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pbsgame.simulation
 from pbsgame.analytic import OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
-from pbsgame.auction import conservation_residual, run_auction, settle
+from pbsgame.auction import conservation_residual, run_auction, second_price, settle
 from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan
 from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
@@ -119,7 +119,7 @@ def test_settlement_conserves_value(n_builders, n_searchers, p_c, capacity, seed
     }
     outcome = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
     settlement = settle(outcome, n, float(alphas[outcome.winner]))
-    assert conservation_residual(settlement, outcome) <= 1e-12
+    assert conservation_residual(settlement.total, outcome.winning_block.total_value) <= 1e-12
 
 
 @st.composite
@@ -180,20 +180,21 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     sim = Simulation(config)
     for pool, bits in zip(sim.pools, genomes):
         pool.codes[:] = int(bits, 2)
-    scans, auctions = [], []
+    scans, ranked, auctions = [], [], []
 
     def scan_spy(*args):
         scans.append((args[0], *greedy_scan(*args)))
+        ranked.append(args[:3])
         return scans[-1][1:]
 
-    def auction_spy(bids, rng, block_of):
+    def auction_spy(totals, rng):
         before = rng.bit_generator.state
-        outcome = run_auction(bids, rng, block_of)
+        outcome = second_price(totals, rng)
         auctions.append((before, outcome, rng.bit_generator.state))
         return outcome
 
     with mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
-            mock.patch.object(pbsgame.simulation, "run_auction", auction_spy):
+            mock.patch.object(pbsgame.simulation, "second_price", auction_spy):
         record = sim.run_round(scenario)
 
     values, weights = scenario.values, scenario.graph.weights
@@ -211,12 +212,14 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
         assert total == block.total_bid
 
     # the auction on the oracle's blocks, from the generator state the round's auction met
-    [(before, outcome, after)] = auctions
+    [(before, (winner, payment), after)] = auctions
     rng = np.random.default_rng()
     rng.bit_generator.state = before
     expected = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
-    assert outcome.winning_block.entries == expected.winning_block.entries
-    assert (record.winner, record.payment) == (expected.winner, expected.payment)
+    (_, picked, _), (owners, worths, bids) = scans[winner], ranked[winner]
+    entries = tuple(BlockEntry(owners[k], worths[k], bids[k]) for k in picked)
+    assert entries == expected.winning_block.entries
+    assert (record.winner, record.payment) == (winner, payment) == (expected.winner, expected.payment)
     assert after == rng.bit_generator.state
     for k in range(config.n_agents):
         assert scenario.graph.conflicts(k) == frozenset(np.flatnonzero(weights[:, k]).tolist())

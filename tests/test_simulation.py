@@ -6,12 +6,13 @@ import pytest
 
 import pbsgame.sweep
 
-from pbsgame.auction import Settlement, settle
+from pbsgame.auction import distribute
 from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
 from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
+    LOG_FLUSH,
     Lockstep,
     SimConfig,
     Simulation,
@@ -169,25 +170,23 @@ def test_conservation_tracked_each_round():
 
 
 def test_conservation_guard_catches_a_tiny_leak(monkeypatch):
-    def leaky_settle(outcome, n_agents, rebate_ratio):
-        settlement = settle(outcome, n_agents, rebate_ratio)
-        payoffs = list(settlement.payoffs)
-        payoffs[outcome.winner] += 1e-9
-        return Settlement(payoffs=tuple(payoffs), proposer=settlement.proposer)
+    def leaky_distribute(winner, *args):
+        payoffs = distribute(winner, *args)
+        payoffs[winner] += 1e-9
+        return payoffs
 
-    monkeypatch.setattr("pbsgame.simulation.settle", leaky_settle)
+    monkeypatch.setattr("pbsgame.simulation.distribute", leaky_distribute)
     with pytest.raises(NumericalError, match="conservation"):
         Simulation(small_config(rounds=5)).run()
 
 
 def test_conservation_guard_catches_a_nan_payoff(monkeypatch):
-    def nan_settle(outcome, n_agents, rebate_ratio):
-        settlement = settle(outcome, n_agents, rebate_ratio)
-        payoffs = list(settlement.payoffs)
-        payoffs[outcome.winner] = math.nan
-        return Settlement(payoffs=tuple(payoffs), proposer=settlement.proposer)
+    def nan_distribute(winner, *args):
+        payoffs = distribute(winner, *args)
+        payoffs[winner] = math.nan
+        return payoffs
 
-    monkeypatch.setattr("pbsgame.simulation.settle", nan_settle)
+    monkeypatch.setattr("pbsgame.simulation.distribute", nan_distribute)
     with pytest.raises(NumericalError, match="conservation"):
         Simulation(small_config(rounds=5)).run()
 
@@ -394,6 +393,28 @@ def test_run_plays_only_the_rounds_left():
     assert sim.metrics == whole.metrics and sim.snapshots == whole.snapshots
     sim.run()  # nothing is left
     assert sim.round_index == 50
+
+
+def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
+    # ~1.2 GA steps per replica-round; a round takes pool CoVs only for a full log
+    calls = []
+
+    def cov_spy(values):
+        calls.append(len(values))
+        return cov(values)
+
+    monkeypatch.setattr("pbsgame.simulation.cov", cov_spy)
+    config = small_config(rounds=600, ga=GAConfig(trigger=0.2))
+    lockstep = Lockstep(config, 3)
+    sims = [Simulation(config, None, lockstep, row) for row in range(3)]
+    for _ in range(config.rounds):
+        lockstep.run_round(sims)
+        assert all(len(sim._log) < LOG_FLUSH for sim in sims)
+    # the first round's CoVs of every replica's pools, then one pool per logged step of
+    # a full log, which one round's steps may take past the flush size
+    assert calls[0] == 3 and len(calls) > 1
+    assert all(LOG_FLUSH <= steps < LOG_FLUSH + config.n_agents for steps in calls[1:])
+    assert all(0 < len(sim._metrics.cov_alpha) < config.rounds for sim in sims)
 
 
 def test_sweep_shape_and_determinism_across_jobs():

@@ -4,21 +4,25 @@ Each example runs one small simulation and its scalar transcription from the
 same seed, and asserts that every metric series, every pool's genomes and
 fitness, the round records and the final generator state are equal (NaN
 equal to NaN). The lockstep property does the same for every replica of a
-batch stepped together, and the replica-runner property checks that batching
+batch stepped together, a third reads the metrics at drawn rounds of a run,
+whose consensus series are filled on read, and the replica-runner property checks that batching
 tasks by shape returns, in task order, what one simulation per task returns.
 A further property checks one GA step on its own.
 """
 
 import math
 from dataclasses import replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbsgame.simulation
 from pbsgame.evolution import GAConfig, StrategyPool, evolve
-from pbsgame.simulation import Lockstep, MetricsSeries, SimConfig, Simulation, summarize
+from pbsgame.simulation import LOG_FLUSH, Lockstep, MetricsSeries, SimConfig, Simulation, summarize
 from pbsgame.sweep import replica_rng, run_replicas
 from reference import FIELDS, ReferenceRun
 from reference import evolve as string_evolve
@@ -99,6 +103,37 @@ def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, da
     lockstep = Lockstep(shape, replicas)
     sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
     lockstep.run(sims)
+    for sim, config in zip(sims, configs):
+        assert_follows_the_reference(sim, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.sampled_from([None, 1, 2, 7]), st.sampled_from([1, 3, LOG_FLUSH]), st.data())
+def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush, data):
+    # the consensus series are filled on read and whenever a GA log holds ``flush``
+    # steps; a read at any round sees the reference's prefix and leaves the rest as is
+    reads = sorted(data.draw(st.sets(st.integers(0, shape.rounds), max_size=4)))
+    if replicas is None:
+        configs = [shape]
+        sims = [Simulation(shape)]
+        step, finish = sims[0].run_round, sims[0].run
+    else:
+        configs = [
+            replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
+            for _ in range(replicas)
+        ]
+        lockstep = Lockstep(shape, replicas)
+        sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
+        step, finish = partial(lockstep.run_round, sims), partial(lockstep.run, sims)
+    references = [ReferenceRun(config).run() for config in configs]
+    with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush):
+        for t in reads:
+            while sims[0].round_index < t:
+                step()
+            for sim, reference in zip(sims, references):
+                for name in FIELDS:
+                    assert same(getattr(sim.metrics, name), reference.series[name][:t]), (t, name)
+        finish()
     for sim, config in zip(sims, configs):
         assert_follows_the_reference(sim, config)
 
