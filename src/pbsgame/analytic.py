@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+MC_BLOCK = 1 << 16  # samples per Monte Carlo block: 512 KiB of floats, small enough for L2
+
 
 @dataclass(frozen=True)
 class OneSidedMarket:
@@ -109,36 +111,45 @@ def monte_carlo_searcher_payoff(
 ) -> tuple[float, float]:
     """Sample mean and standard error of the searcher payoff.
 
-    One call holds two n-float buffers and one n-bool mask, and works in place
-    after the draws. Its result and the state it leaves in ``rng`` equal, bit
-    for bit, those of the plain form: ``rng.exponential(1 / rate, n)`` draws
-    (numpy defines them as scale times ``standard_exponential``), an
-    ``np.where`` merge of the two branches, ``mean()`` and ``std(ddof=1)``.
+    One call holds one n-float array, the v1 draws, and works through it in
+    cache-sized blocks of ``MC_BLOCK``: each block draws its v2 into one reused
+    buffer, as one n-sample draw would, and turns its v1 into payoffs. The mean
+    and the squared-deviation sum are each one reduction over the whole array,
+    as numpy's pairwise sum depends on the length. So the result and the state
+    left in ``rng`` equal, bit for bit, those of the plain form:
+    ``rng.exponential(1 / rate, n)`` draws (numpy defines them as scale times
+    ``standard_exponential``), an ``np.where`` merge of the two branches,
+    ``mean()`` and ``std(ddof=1)``.
     """
     if n_samples < 2:
         raise ConfigError(f"a standard error needs at least 2 samples, got {n_samples}")
     if market.value == 0:
         return 0.0, 0.0
     try:
-        x = rng.standard_exponential(n_samples)
-        other = rng.standard_exponential(n_samples)
-        below = np.empty(n_samples, dtype=bool)
+        x = rng.standard_exponential(n_samples)  # every v1 comes before any v2 in the stream
     except MemoryError:
         raise ConfigError(f"mc_samples {n_samples} is too large to hold in memory") from None
-    x *= 1.0 / market.rate1
-    other *= 1.0 / market.rate2
-    x -= other  # x = v1 - v2
-    np.less(x, -market.delta_beta * market.value, out=below)  # builder 2 wins
+    size = min(n_samples, MC_BLOCK)
+    other, below = np.empty(size), np.empty(size, dtype=bool)
+    split = -market.delta_beta * market.value
     a0, a_slope, b0, b_slope = _payoff_coefficients(market)
-    payoff = np.multiply(x, a_slope, out=other)
-    payoff += a0
-    x *= b_slope
-    x += b0
-    np.copyto(payoff, x, where=below)
-    mean = payoff.mean()
-    payoff -= mean
-    payoff *= payoff
-    stderr = math.sqrt(payoff.sum() / (n_samples - 1)) / math.sqrt(n_samples)
+    for start in range(0, n_samples, MC_BLOCK):
+        v = x[start : start + MC_BLOCK]
+        w, wins2 = other[: len(v)], below[: len(v)]
+        rng.standard_exponential(out=w)
+        v *= 1.0 / market.rate1
+        w *= 1.0 / market.rate2
+        v -= w  # v1 - v2
+        np.less(v, split, out=wins2)  # builder 2 wins
+        np.multiply(v, b_slope, out=w)
+        w += b0
+        v *= a_slope
+        v += a0
+        np.copyto(v, w, where=wins2)
+    mean = x.mean()
+    x -= mean
+    x *= x
+    stderr = math.sqrt(x.sum() / (n_samples - 1)) / math.sqrt(n_samples)
     return float(mean), stderr
 
 

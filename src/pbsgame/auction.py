@@ -11,6 +11,8 @@ settlement conserves the winning block's total effective value. The round calls
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ class Settlement:
 
     @property
     def total(self) -> float:
-        return self.proposer + sum(self.payoffs)
+        return self.proposer + reduce(add, self.payoffs, 0.0)
 
 
 def second_price(totals: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
@@ -63,7 +65,7 @@ def distribute(winner: int, payment: float, total_bid: float, entries: Sequence[
     payoffs = [0.0] * n_agents
     surplus = total_bid - payment
     searcher_entries = [e for e in entries if e[0] != winner]
-    searcher_bid_sum = sum(e[2] for e in searcher_entries)
+    searcher_bid_sum = reduce(add, (e[2] for e in searcher_entries), 0.0)
     rebate_pool = rebate_ratio * surplus if searcher_bid_sum > 0 else 0.0
     for owner, value, bid in searcher_entries:
         share = bid / searcher_bid_sum if searcher_bid_sum > 0 else 0.0

@@ -13,7 +13,8 @@ does both for one builder and returns its ``Block``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,11 +53,11 @@ class Block:
     @property
     def total_bid(self) -> float:
         """The builder's truthful auction bid: all value captured by the block."""
-        return sum(e.bid for e in self.entries)
+        return reduce(add, (e.bid for e in self.entries), 0.0)
 
     @property
     def total_value(self) -> float:
-        return sum(e.value for e in self.entries)
+        return reduce(add, (e.value for e in self.entries), 0.0)
 
 
 def rank_offers(values: np.ndarray, bids: np.ndarray) -> np.ndarray:

@@ -387,8 +387,8 @@ class Lockstep:
                 picked, total = scans[winner]
                 entries = [(owners[winner][k], worths[winner][k], bids[winner][k]) for k in picked]
                 payoffs = tuple(distribute(winner, payment, total, entries, rebates[winner], n))
-                captured = sum(entry[1] for entry in entries)
-                residual = conservation_residual(payment + sum(payoffs), captured)
+                captured = reduce(operator.add, (entry[1] for entry in entries), 0.0)
+                residual = conservation_residual(payment + reduce(operator.add, payoffs, 0.0), captured)
                 # written so that a NaN residual fails too
                 if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, captured):
                     raise NumericalError(

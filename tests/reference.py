@@ -161,7 +161,7 @@ class ReferenceRun:
                         entries.append((owner, value, bid))
                         blocked |= conflicts[owner]
                 blocks[j] = entries
-                totals[j] = sum(bid for _, _, bid in entries)
+                totals[j] = reduce(operator.add, (bid for _, _, bid in entries), 0.0)
 
             top = max(totals.values())
             tied = [j for j in self.builders if totals[j] == top]
@@ -172,13 +172,16 @@ class ReferenceRun:
             entries = blocks[winner]
             surplus = totals[winner] - payment
             searcher_entries = [e for e in entries if e[0] != winner]
-            bid_sum = sum(bid for _, _, bid in searcher_entries)
+            bid_sum = reduce(operator.add, (bid for _, _, bid in searcher_entries), 0.0)
             rebate_pool = alphas[winner] * surplus if bid_sum > 0 else 0.0
             for owner, value, bid in searcher_entries:
                 share = bid / bid_sum if bid_sum > 0 else 0.0
                 payoffs[owner] += (value - bid) + share * rebate_pool
             payoffs[winner] += surplus - rebate_pool
-            residual = abs((payment + sum(payoffs)) - sum(value for _, value, _ in entries))
+            residual = abs(
+                (payment + reduce(operator.add, payoffs, 0.0))
+                - reduce(operator.add, (value for _, value, _ in entries), 0.0)
+            )
 
         eta = cfg.learning_rate
         for agent, pool in enumerate(self.pools):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from pbsgame.analytic import (
+    MC_BLOCK,
     OneSidedMarket,
     expected_searcher_payoff,
     finite_difference_derivative,
@@ -114,6 +116,19 @@ def test_expected_payoff_matches_quadrature_oracle():
 def test_monte_carlo_needs_two_samples(n_samples):
     with pytest.raises(ConfigError, match="2 samples"):
         monte_carlo_searcher_payoff(market(), n_samples, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("blocks", [4, 16])
+def test_monte_carlo_holds_one_sample_array(blocks):
+    # past the n v1 draws, one block-sized v2 buffer and mask, whatever n is
+    n = blocks * MC_BLOCK
+    tracemalloc.start()
+    try:
+        monte_carlo_searcher_payoff(market(), n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak < 8 * n + 10 * MC_BLOCK
 
 
 def test_quadrature_matches_monte_carlo_on_spec_point():

@@ -33,6 +33,9 @@ GOLDEN = {
     "verify-analytic": {
         "verify.json": "971db5dc6a47aef17fb0eca8f610b4a21ea53287c6b6208a17180cba278e62c6",
     },
+    "verify-analytic-blocks": {
+        "verify.json": "78087234bde4d7d82bdcde0a8427afda8248152a815eddc2d288d8718c50177e",
+    },
 }
 
 # simulate reads part of its settings from a config file that flags override
@@ -54,6 +57,11 @@ COMMANDS = {
     # an odd sample count, so the Monte Carlo sums end off numpy's 8-wide blocks
     "verify-analytic": [
         "verify-analytic", "--sign-points", "20", "--mc-points", "5", "--mc-samples", "1001",
+        "--fd-points", "5", "--seed", "3",
+    ],
+    # three whole Monte Carlo blocks of 2**16 samples and a part of one
+    "verify-analytic-blocks": [
+        "verify-analytic", "--sign-points", "20", "--mc-points", "2", "--mc-samples", "200003",
         "--fd-points", "5", "--seed", "3",
     ],
 }

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbsgame.simulation
-from pbsgame.analytic import OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
+from pbsgame.analytic import MC_BLOCK, OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, run_auction, second_price, settle
 from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan
 from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
@@ -337,11 +337,12 @@ def markets(draw):
     )
 
 
-# odd n, n off multiples of 8 and 128 (numpy's pairwise-sum block), and sizes
-# either side of them
+# odd n, n off multiples of 8 and 128 (numpy's pairwise-sum block), sizes
+# either side of them, and of one and of several of the kernel's blocks
 SAMPLE_COUNTS = st.one_of(
     st.sampled_from([2, 3, 7, 8, 9, 127, 128, 129, 255, 1001, 1023, 1024, 1025, 4097]),
     st.integers(2, 5000),
+    st.sampled_from([MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK, 3 * MC_BLOCK + 7]),
 )
 
 

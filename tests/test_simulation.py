@@ -1,12 +1,18 @@
 import dataclasses
+import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
+import pbsgame.auction
+import pbsgame.builder
+import pbsgame.simulation
 import pbsgame.sweep
 
 from pbsgame.auction import distribute
+from pbsgame.builder import Block, BlockEntry
 from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
 from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
@@ -14,6 +20,7 @@ from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
     LOG_FLUSH,
     Lockstep,
+    MetricsSeries,
     SimConfig,
     Simulation,
     cov,
@@ -379,6 +386,57 @@ def test_configs_are_hashable_and_equal_configs_hash_equal():
 def test_window_means_add_left_to_right():
     # a compensated sum (Python's ``sum`` since 3.12) would keep the 1.0: 1/3
     assert final_window_mean([1e16, 1.0, -1e16], 1.0) == 0.0
+
+
+def compensated_sum(items, start=0):
+    """``sum`` as Python 3.12+ adds: ints exactly, then floats with Neumaier's compensation."""
+    items = iter(items)
+    for item in items:
+        if not isinstance(item, int):
+            break
+        start += item
+    else:
+        return start
+    total, compensation = float(start), 0.0
+    for x in chain([item], items):
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def patch_sum(monkeypatch):
+    for module in (pbsgame.auction, pbsgame.builder, pbsgame.simulation):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+
+def test_the_stand_in_sums_as_python_312():
+    assert compensated_sum([1.0, 1e-16, 1e-16]) == 1.0 + 2**-52
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([3, 4]) == 7 and compensated_sum([]) == 0
+
+
+def test_block_totals_and_rebate_shares_add_left_to_right(monkeypatch):
+    # 1 + 1e-16 rounds back to 1 at each step; a compensated sum gives 1 + 2**-52
+    patch_sum(monkeypatch)
+    entries = [(0, 1.0, 1.0), (1, 1e-16, 1e-16), (2, 1e-16, 1e-16)]
+    block = Block(3, tuple(BlockEntry(*e) for e in entries))
+    assert block.total_bid == 1.0 and block.total_value == 1.0
+    # searcher 0's share of the 0.25 rebate pool is its bid over the searchers' bid sum
+    assert distribute(3, 0.5, 1.0, entries, 0.5, 4)[0] == 0.25
+
+
+@pytest.mark.parametrize("config", [SimConfig(10, 10, 300, 0.1, seed=1), SimConfig(2, 3, 80, 0.0, seed=4)])
+def test_settlement_is_the_same_under_a_compensated_sum(monkeypatch, config):
+    def outputs():
+        sim = Simulation(config)
+        sim.run()
+        series = [getattr(sim.metrics, name) for name in MetricsSeries.FIELDS]
+        return json.dumps([series, sim.max_residual, sim.snapshot()])
+
+    plain = outputs()
+    patch_sum(monkeypatch)
+    assert outputs() == plain
 
 
 def test_run_plays_only_the_rounds_left():
