@@ -4,16 +4,7 @@ __version__ = "0.1.0"
 
 from .auction import AuctionOutcome, Settlement, run_auction, settle
 from .builder import Block, BlockEntry, build_block
-from .codec import (
-    BuilderParams,
-    Chromosome,
-    SearcherParams,
-    bid_ratio,
-    decode_builder,
-    decode_searcher,
-    decode_segment,
-    encode_segment,
-)
+from .codec import BuilderParams, SearcherParams, bid_ratio, decode_builder, decode_searcher
 from .egta import (
     AlphaRankResult,
     HeuristicPayoffTable,
@@ -36,7 +27,6 @@ __all__ = [
     "Block",
     "BlockEntry",
     "BuilderParams",
-    "Chromosome",
     "CodecError",
     "ConfigError",
     "GAConfig",
@@ -59,9 +49,7 @@ __all__ = [
     "cov",
     "decode_builder",
     "decode_searcher",
-    "decode_segment",
     "draw_scenario",
-    "encode_segment",
     "estimate_hpt",
     "evolve",
     "fixation_probability",

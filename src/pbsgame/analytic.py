@@ -52,22 +52,6 @@ class OneSidedMarket:
         return self.beta1 - self.beta2
 
 
-def laplace_pdf(x: float, rate1: float, rate2: float) -> float:
-    """Density of v1 - v2 for independent exponentials with the given rates."""
-    if rate1 <= 0 or rate2 <= 0:
-        raise ConfigError("rates must be positive")
-    k = rate1 * rate2 / (rate1 + rate2)
-    return k * math.exp(-rate1 * x) if x >= 0 else k * math.exp(rate2 * x)
-
-
-def laplace_cdf(x: float, rate1: float, rate2: float) -> float:
-    if rate1 <= 0 or rate2 <= 0:
-        raise ConfigError("rates must be positive")
-    if x < 0:
-        return rate1 / (rate1 + rate2) * math.exp(rate2 * x)
-    return 1.0 - rate2 / (rate1 + rate2) * math.exp(-rate1 * x)
-
-
 def _payoff_coefficients(market: OneSidedMarket) -> tuple[float, float, float, float]:
     """Linear payoff pieces: a1 + rebate1*x when builder 1 wins, b0 - rebate2*x otherwise."""
     v3, db = market.value, market.delta_beta
@@ -194,11 +178,7 @@ def finite_difference_derivative(market: OneSidedMarket, step: float = 1e-4) -> 
 
 
 def verification_report(
-    sign_points: int = 1000,
-    mc_points: int = 50,
-    mc_samples: int = 10**6,
-    fd_points: int = 100,
-    seed: int = 0,
+    sign_points: int, mc_points: int, mc_samples: int, fd_points: int, seed: int
 ) -> dict:
     """Grid verification of the closed-form market: signs, MC deltas, FD match."""
     if seed < 0:

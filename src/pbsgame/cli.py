@@ -116,6 +116,8 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
             payload = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config}: not UTF-8 text: {exc.reason}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
         unknown = set(payload) - set(_FIELDS)
@@ -277,7 +279,7 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
                         samples=int(raw.get("samples") or 0),
                     )
                 )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, csv.Error) as exc:
         raise ConfigError(f"bad payoff table file {path}: {exc}") from exc
     if not groups:
         raise ConfigError(f"payoff table file {path} is empty")

@@ -4,13 +4,12 @@ Searcher genomes are 10 bits (two 5-bit segments decoding to gamma1 in [1, 5]
 and gamma2 in [0, 4]); builder genomes are 5 bits decoding to a rebate ratio
 alpha in [0, 1]. Each 5-bit segment is read most-significant-bit first and
 mapped linearly, low + (d / 31) * (high - low). A genome's *code* is its bits
-read most-significant first as one integer; pools and the round hold codes,
-and bit strings (``Chromosome``) appear only in the decode API and in output.
+read most-significant first as one integer; pools, the round and the decode
+API hold codes, and bit strings appear only in output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,23 +34,6 @@ class BuilderParams(NamedTuple):
     alpha: float  # fraction of surplus rebated to included searchers
 
 
-@dataclass
-class Chromosome:
-    """A genome as a fixed-width bit string, the form the decode API takes."""
-
-    bits: str
-
-    def __post_init__(self):
-        if len(self.bits) not in (BUILDER_WIDTH, SEARCHER_WIDTH):
-            raise CodecError(f"chromosome width must be 5 or 10, got {len(self.bits)}")
-        if any(c not in "01" for c in self.bits):
-            raise CodecError(f"chromosome bits must be 0/1, got {self.bits!r}")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-
 def random_codes(width: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` random genome codes of ``width`` bits, each from one ``rng.integers`` draw."""
     places = 1 << np.arange(width - 1, -1, -1)
@@ -63,20 +45,6 @@ def _linear(d: int, low: float, high: float) -> float:
     return low + (d / SEGMENT_MAX) * (high - low)
 
 
-def decode_segment(bits: str, low: float, high: float) -> float:
-    """Map one 5-bit segment linearly onto [low, high]."""
-    if len(bits) != SEGMENT_BITS or any(c not in "01" for c in bits):
-        raise CodecError(f"expected a 5-bit segment, got {bits!r}")
-    return _linear(int(bits, 2), low, high)
-
-
-def encode_segment(value: int) -> str:
-    """Inverse of the segment integer: 5-bit, most-significant-bit first."""
-    if not 0 <= value <= SEGMENT_MAX:
-        raise CodecError(f"segment integer must be in [0, {SEGMENT_MAX}], got {value}")
-    return format(value, f"0{SEGMENT_BITS}b")
-
-
 def segment_ints(bits: str) -> tuple[int, ...]:
     """Decoded integer (0..31) of each 5-bit segment of a bit string."""
     if len(bits) % SEGMENT_BITS != 0:
@@ -86,28 +54,27 @@ def segment_ints(bits: str) -> tuple[int, ...]:
     )
 
 
-def decode_searcher(chromosome: Chromosome) -> SearcherParams:
-    if chromosome.width != SEARCHER_WIDTH:
-        raise CodecError(f"searcher chromosome must have 10 bits, got {chromosome.width}")
-    return searcher_params(int(chromosome.bits, 2))
+def _check_code(code: int, width: int) -> None:
+    if not 0 <= code < 2**width:
+        raise CodecError(f"a {width}-bit genome code must be in [0, {2**width}), got {code}")
 
 
-def searcher_params(code: int) -> SearcherParams:
+def decode_searcher(code: int) -> SearcherParams:
     """The decoded parameters of a searcher genome code."""
+    _check_code(code, SEARCHER_WIDTH)
     return SearcherParams(
         _linear(code >> SEGMENT_BITS, *GAMMA1_RANGE), _linear(code & SEGMENT_MAX, *GAMMA2_RANGE)
     )
 
 
-def decode_builder(chromosome: Chromosome) -> BuilderParams:
-    if chromosome.width != BUILDER_WIDTH:
-        raise CodecError(f"builder chromosome must have 5 bits, got {chromosome.width}")
-    (d,) = segment_ints(chromosome.bits)
-    return BuilderParams(_linear(d, *ALPHA_RANGE))
-
-
 # the rebate ratio of every builder genome, indexed by the genome read as an integer
 BUILDER_ALPHAS = tuple(_linear(d, *ALPHA_RANGE) for d in range(2**BUILDER_WIDTH))
+
+
+def decode_builder(code: int) -> BuilderParams:
+    """The decoded rebate ratio of a builder genome code."""
+    _check_code(code, BUILDER_WIDTH)
+    return BuilderParams(BUILDER_ALPHAS[code])
 
 
 def bid_ratio(params: SearcherParams, alpha: float) -> float:
@@ -137,7 +104,7 @@ def bid_ratios(searchers: Sequence[int], builders: Sequence[int]) -> np.ndarray:
     rows = np.asarray(searchers, dtype=np.intp)
     cols = np.asarray(builders, dtype=np.intp)
     for code in set(rows[~_BID_FILLED[rows]].tolist()):
-        params = searcher_params(code)
+        params = decode_searcher(code)
         _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
         _BID_FILLED[code] = True
     return _BID_TABLE[rows[..., None], cols[..., None, :]]

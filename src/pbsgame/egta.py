@@ -61,20 +61,13 @@ class HeuristicPayoffTable:
         raise ConfigError(f"payoff table has no profile with {n_building} builders")
 
 
-def estimate_hpt(
-    m: int,
-    template: SimConfig,
-    reps: int = 10,
-    jobs: int = 1,
-    profiles: list[int] | None = None,
-) -> HeuristicPayoffTable:
-    """Estimate mean role payoffs for each split of m agents across the roles.
+def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> HeuristicPayoffTable:
+    """Estimate mean role payoffs for each of the m+1 splits of m agents across the roles.
 
-    ``profiles`` restricts estimation to the given builder counts (all m+1
-    splits by default). Payoffs are post-convergence averages; a role with
-    zero adopters in a profile gets no payoff entry. The no-builder profile is
-    not simulated: without builders there is no auction, so its row is written
-    with sharing payoff 0.0, residual 0.0 and ``reps`` samples.
+    Payoffs are post-convergence averages; a role with zero adopters in a
+    profile gets no payoff entry. The no-builder profile is not simulated:
+    without builders there is no auction, so its row is written with sharing
+    payoff 0.0, residual 0.0 and ``reps`` samples.
 
     Replica seeds are SeedSequence([template.seed, n_building, rep]), with no
     p_c index: tables estimated at different p_c use common random numbers,
@@ -84,22 +77,16 @@ def estimate_hpt(
         raise ConfigError(f"meta-game needs at least 2 agents, got {m}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    counts = list(range(m + 1)) if profiles is None else sorted(set(profiles))
-    for n1 in counts:
-        if not 0 <= n1 <= m:
-            raise ConfigError(f"profile {n1} outside 0..{m}")
-
-    simulated = [n1 for n1 in counts if n1 > 0]
     tasks = [
         (replace(template, n_builders=n1, n_searchers=m - n1), template.seed, (n1, rep))
-        for n1 in simulated
+        for n1 in range(1, m + 1)
         for rep in range(reps)
     ]
     summaries = run_replicas(tasks, jobs)
 
-    rows = [HptRow(0, m, None, 0.0, reps, 0.0)] if 0 in counts else []
-    for k, n1 in enumerate(simulated):
-        block = summaries[k * reps : (k + 1) * reps]
+    rows = [HptRow(0, m, None, 0.0, reps, 0.0)]
+    for n1 in range(1, m + 1):
+        block = summaries[(n1 - 1) * reps : n1 * reps]
         rows.append(
             HptRow(
                 n_building=n1,

@@ -83,15 +83,9 @@ def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarr
     return np.minimum(picked, cumulative.shape[-1] - 1)
 
 
-def select_strategies(fitness: np.ndarray, temperature, rng: np.random.Generator) -> list[int]:
-    """One roulette draw per row of ``fitness``, at a scalar or ``(rows, 1)`` temperature.
-    ``rng.random(rows)`` equals one scalar draw per row."""
-    return roulette(fitness, temperature, rng.random(len(fitness))).tolist()
-
-
 def select_strategy(pool: StrategyPool, rng: np.random.Generator) -> int:
-    """Roulette-wheel draw; returns the index of the selected strategy."""
-    return select_strategies(pool.fitness[None], pool.temperature, rng)[0]
+    """Roulette-wheel draw from one ``rng.random`` double; returns the selected index."""
+    return int(roulette(pool.fitness, pool.temperature, np.array(rng.random())))
 
 
 def update_fitness(pool: StrategyPool, index: int, payoff: float) -> None:

@@ -34,8 +34,8 @@ from .auction import run_auction, settle  # noqa: F401  the benchmark's layer pr
 from .builder import greedy_scan, rank_offers
 from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
 from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, SEGMENT_MAX
-from .codec import SearcherParams, bid_ratios, random_codes, searcher_params
-from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # noqa: F401  probed
+from .codec import SearcherParams, bid_ratios, decode_searcher, random_codes
+from .codec import bid_ratio, decode_builder, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
 from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
@@ -423,7 +423,7 @@ class Lockstep:
             if cfg.record_rounds:
                 alpha_row, beta_rows, codes = next(recorded)
                 record.alphas = dict(enumerate(alpha_row))
-                record.gammas = {i: searcher_params(codes[i]) for i in cfg.searcher_ids}
+                record.gammas = {i: decode_searcher(codes[i]) for i in cfg.searcher_ids}
                 record.betas = dict(zip(cfg.searcher_ids, map(tuple, beta_rows)))
                 sim.records.append(record)
             sim.round_index += 1

@@ -17,6 +17,9 @@ held as bit strings, in the order the round consumes its generator:
    roulette over the survivors, single-point crossover, bit-flip mutation;
 8. the metrics, each a left-to-right Python sum, with each pool's CoV taken
    by numpy's 1-D mean and standard deviation.
+
+It also holds the asymmetric Laplace density and distribution of v1 - v2, the
+oracle the closed-form market's quadrature and Monte Carlo checks integrate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import reduce
 
 import numpy as np
 
+from pbsgame.errors import ConfigError
 from pbsgame.market import draw_scenario
 
 POOL_SIZE = 20
@@ -209,3 +213,19 @@ class ReferenceRun:
                 index, dict(enumerate(alphas)), gammas, betas, winner, payment, tuple(payoffs),
                 residual,
             ))
+
+
+def laplace_pdf(x: float, rate1: float, rate2: float) -> float:
+    """Density of v1 - v2 for independent exponentials with the given rates."""
+    if rate1 <= 0 or rate2 <= 0:
+        raise ConfigError("rates must be positive")
+    k = rate1 * rate2 / (rate1 + rate2)
+    return k * math.exp(-rate1 * x) if x >= 0 else k * math.exp(rate2 * x)
+
+
+def laplace_cdf(x: float, rate1: float, rate2: float) -> float:
+    if rate1 <= 0 or rate2 <= 0:
+        raise ConfigError("rates must be positive")
+    if x < 0:
+        return rate1 / (rate1 + rate2) * math.exp(rate2 * x)
+    return 1.0 - rate2 / (rate1 + rate2) * math.exp(-rate1 * x)

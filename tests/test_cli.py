@@ -316,6 +316,27 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expecte
     assert expected in err
 
 
+HPT_HEADER = b"n_building,n_sharing,u_building,u_sharing,samples\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, expected",
+    [
+        # not UTF-8: the UnicodeDecodeError of reading the text escaped as a traceback
+        (["simulate", "--config"], b"\xff\xfe{}", "not UTF-8"),
+        # one field past the csv module's 131,072-character limit raised _csv.Error
+        (["egta", "--hpt-file"], HPT_HEADER + b"0,2,," + b"1" * 131_073 + b",1\n", "field limit"),
+    ],
+    ids=["config-not-utf8", "hpt-file-oversized-field"],
+)
+def test_bad_file_exits_2_with_one_line(tmp_path, capsys, argv, content, expected):
+    (tmp_path / "input").write_bytes(content)
+    assert run_cli(*argv, tmp_path / "input", "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+
+
 def test_egta_rejects_bad_alpha_before_simulating(tmp_path, capsys, monkeypatch):
     def no_simulation(*args):
         raise AssertionError("egta simulated before checking the alpha grid")

@@ -8,98 +8,66 @@ import pytest
 import pbsgame
 from pbsgame.codec import (
     BUILDER_ALPHAS,
-    Chromosome,
     SearcherParams,
     bid_ratio,
     bid_ratios,
     decode_builder,
     decode_searcher,
-    decode_segment,
-    encode_segment,
     random_codes,
     segment_ints,
 )
 from pbsgame.errors import CodecError
-
-
-def test_decode_segment_worked_example():
-    # "01001" is 9, mapped onto [0, 4]
-    assert decode_segment("01001", 0, 4) == pytest.approx(36 / 31)
-
-
-def test_decode_segment_endpoints():
-    assert decode_segment("00000", 1, 5) == 1.0
-    assert decode_segment("11111", 0, 1) == 1.0
-
-
-def test_decode_segment_follows_linear_map():
-    # "00101" is 5: 1 + (5/31)*4, recomputed by hand
-    assert decode_segment("00101", 1, 5) == pytest.approx(51 / 31)
-
-
-@pytest.mark.parametrize("bits", ["0101", "010101", "01a01"])
-def test_decode_segment_rejects_bad_input(bits):
-    with pytest.raises(CodecError):
-        decode_segment(bits, 0, 1)
+from reference import alpha_of, gammas_of
 
 
 def test_decode_searcher_all_zero_and_all_one():
-    assert decode_searcher(Chromosome("0000000000")) == (1.0, 0.0)
-    assert decode_searcher(Chromosome("1111111111")) == (5.0, 4.0)
+    assert decode_searcher(int("0000000000", 2)) == (1.0, 0.0)
+    assert decode_searcher(int("1111111111", 2)) == (5.0, 4.0)
 
 
 def test_decode_searcher_mixed_genome():
-    gamma1, gamma2 = decode_searcher(Chromosome("0010101001"))
+    gamma1, gamma2 = decode_searcher(int("0010101001", 2))
     assert gamma1 == pytest.approx(51 / 31)
     assert gamma2 == pytest.approx(36 / 31)
 
 
 def test_decode_builder_values():
-    assert decode_builder(Chromosome("00000")).alpha == 0.0
-    assert decode_builder(Chromosome("11111")).alpha == 1.0
-    assert decode_builder(Chromosome("10000")).alpha == pytest.approx(16 / 31)
+    assert decode_builder(int("00000", 2)).alpha == 0.0
+    assert decode_builder(int("11111", 2)).alpha == 1.0
+    assert decode_builder(int("10000", 2)).alpha == pytest.approx(16 / 31)
 
 
 def test_decode_width_mismatch():
+    # a whole searcher genome is no builder genome, and no genome is wider than 10 bits
     with pytest.raises(CodecError):
-        decode_searcher(Chromosome("00000"))
+        decode_searcher(int("11111111111", 2))
     with pytest.raises(CodecError):
-        decode_builder(Chromosome("0000000000"))
+        decode_builder(int("1111111111", 2))
 
 
-def test_chromosome_validation():
-    with pytest.raises(CodecError):
-        Chromosome("0000002")
-    with pytest.raises(CodecError):
-        Chromosome("02101")
-
-
-def test_encode_decode_round_trip():
-    for d in range(32):
-        bits = encode_segment(d)
-        assert int(bits, 2) == d
-        assert len(bits) == 5
-    with pytest.raises(CodecError):
-        encode_segment(32)
+@pytest.mark.parametrize(
+    "decode, code",
+    [(decode_searcher, -1), (decode_searcher, 1024), (decode_builder, -1), (decode_builder, 32),
+     (decode_builder, 1024)],
+    ids=["searcher--1", "searcher-1024", "builder--1", "builder-32", "builder-1024"],
+)
+def test_decode_rejects_codes_out_of_range(decode, code):
+    # unchecked, a negative builder code would index BUILDER_ALPHAS from the end
+    with pytest.raises(CodecError, match="genome code must be in"):
+        decode(code)
 
 
 def test_decode_equals_decode_segment_on_every_genome():
     # every genome the GA can produce, compared exactly with each segment decoded alone
     for d in range(32):
-        bits = encode_segment(d)
-        assert decode_builder(Chromosome(bits)).alpha == decode_segment(bits, 0.0, 1.0)
-    for d1 in range(32):
-        for d2 in range(32):
-            s1, s2 = encode_segment(d1), encode_segment(d2)
-            assert decode_searcher(Chromosome(s1 + s2)) == (
-                decode_segment(s1, 1.0, 5.0),
-                decode_segment(s2, 0.0, 4.0),
-            )
+        assert decode_builder(d).alpha == alpha_of(format(d, "05b"))
+    for code in range(1024):
+        assert decode_searcher(code) == gammas_of(format(code, "010b"))
 
 
 def test_alpha_table_equals_decode_builder_on_every_genome():
     genomes = [format(d, "05b") for d in range(32)]
-    assert list(BUILDER_ALPHAS) == [decode_builder(Chromosome(bits)).alpha for bits in genomes]
+    assert list(BUILDER_ALPHAS) == [decode_builder(int(bits, 2)).alpha for bits in genomes]
 
 
 def test_segment_ints():
@@ -133,10 +101,8 @@ def test_bid_ratio_monotone_in_rebate_and_bounded():
 
 
 def test_bid_ratios_equal_scalar_bid_ratio_for_every_genome_pair():
-    searchers = [Chromosome(format(s, "010b")) for s in range(1024)]
-    builders = [Chromosome(format(b, "05b")) for b in range(32)]
-    gammas = [decode_searcher(c) for c in searchers]
-    alphas = [decode_builder(c).alpha for c in builders]
+    gammas = [decode_searcher(s) for s in range(1024)]
+    alphas = [decode_builder(b).alpha for b in range(32)]
     table = bid_ratios(range(1024), range(32))
     assert table.shape == (1024, 32)
     mismatches = [

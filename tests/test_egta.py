@@ -253,7 +253,7 @@ def test_no_builder_row_equals_simulating_the_profile(m, p_c, seed):
         max(s["max_residual"] for s in summaries),
     )
     # repr also tells 0.0 from -0.0, which print differently in hpt.csv
-    assert repr(estimate_hpt(m, template, reps=reps, profiles=[0]).row(0)) == repr(simulated)
+    assert repr(estimate_hpt(m, template, reps=reps).row(0)) == repr(simulated)
 
 
 def test_hpt_rejects_duplicate_profiles():
@@ -273,5 +273,3 @@ def test_estimate_hpt_validation():
         estimate_hpt(1, tiny_template(), reps=1)
     with pytest.raises(ConfigError):
         estimate_hpt(4, tiny_template(), reps=0)
-    with pytest.raises(ConfigError):
-        estimate_hpt(4, tiny_template(), reps=1, profiles=[7])

@@ -10,7 +10,7 @@ from pbsgame.evolution import (
     StrategyPool,
     _softmax,
     evolve,
-    select_strategies,
+    roulette,
     select_strategy,
     update_fitness,
 )
@@ -203,5 +203,5 @@ def test_selection_clips_to_last_strategy():
     # ten equal weights sum to just under 1, so the top draw passes every cumulative bound
     pool = pool_of([0.0] * 10)
     assert np.cumsum(probabilities(pool))[-1] <= np.nextafter(1.0, 0.0)
-    assert select_strategies(np.stack([pool.fitness] * 2), pool.temperature, TopDraw()) == [9, 9]
+    assert roulette(np.stack([pool.fitness] * 2), pool.temperature, TopDraw().random(2)).tolist() == [9, 9]
     assert select_strategy(pool, TopDraw()) == 9

@@ -13,9 +13,9 @@ import pbsgame.simulation
 from pbsgame.analytic import MC_BLOCK, OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, run_auction, second_price, settle
 from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan
-from pbsgame.codec import Chromosome, bid_ratio, decode_builder, decode_searcher
+from pbsgame.codec import bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
-from pbsgame.evolution import GAConfig, StrategyPool, evolve, select_strategies, select_strategy
+from pbsgame.evolution import GAConfig, StrategyPool, evolve, roulette, select_strategy
 from pbsgame.market import InteractionGraph, Scenario, draw_scenario
 from pbsgame.simulation import SimConfig, Simulation
 
@@ -200,9 +200,9 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     values, weights = scenario.values, scenario.graph.weights
     blocks = {}
     for j in config.builder_ids:
-        alpha = decode_builder(Chromosome(genomes[j])).alpha
+        alpha = decode_builder(int(genomes[j], 2)).alpha
         offers = [BlockEntry(j, values[j], values[j])] + [
-            BlockEntry(i, values[i], bid_ratio(decode_searcher(Chromosome(genomes[i])), alpha) * values[i])
+            BlockEntry(i, values[i], bid_ratio(decode_searcher(int(genomes[i], 2)), alpha) * values[i])
             for i in config.searcher_ids
         ]
         blocks[j] = Block(j, tuple(one_builder_greedy(offers, weights, config.capacity)))
@@ -230,7 +230,7 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
 def test_batched_selection_equals_scalar_draws(pools, seed):
     fitness = np.array([pool.fitness for pool in pools])
     temperatures = np.array([[pool.temperature] for pool in pools])
-    batched = select_strategies(fitness, temperatures, np.random.default_rng(seed))
+    batched = roulette(fitness, temperatures, np.random.default_rng(seed).random(len(pools))).tolist()
     rng = np.random.default_rng(seed)
     scalar = []
     for pool in pools:  # one pool's softmax and one scalar draw at a time

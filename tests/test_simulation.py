@@ -13,7 +13,7 @@ import pbsgame.sweep
 
 from pbsgame.auction import distribute
 from pbsgame.builder import Block, BlockEntry
-from pbsgame.codec import Chromosome, bid_ratio, decode_searcher
+from pbsgame.codec import bid_ratio, decode_searcher
 from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
@@ -161,7 +161,7 @@ def test_single_builder_single_searcher_matches_settlement_formula():
     freeze(sim.pools[0], "10100")  # alpha = 20/31
     freeze(sim.pools[1], "1010001010")
     alpha = 20 / 31
-    beta = bid_ratio(decode_searcher(Chromosome("1010001010")), alpha)
+    beta = bid_ratio(decode_searcher(int("1010001010", 2)), alpha)
     scenario = Scenario(values=(0.2, 0.1), graph=InteractionGraph.independent(2))
     record = sim.run_round(scenario)
     total = 0.2 + beta * 0.1
@@ -234,13 +234,13 @@ def test_summarize_keys():
 
 def test_round_decodes_no_genome_unless_recording(monkeypatch):
     calls = []
-    for name in ("decode_builder", "decode_searcher", "searcher_params"):
+    for name in ("decode_builder", "decode_searcher"):
         monkeypatch.setattr(f"pbsgame.simulation.{name}", lambda c, name=name: calls.append(name))
     Simulation(small_config(rounds=20)).run()
     assert calls == []
     # the spies are live: a recording round decodes its searchers' codes for the record
     Simulation(small_config(rounds=1, record_rounds=True)).run()
-    assert calls == ["searcher_params"] * 3
+    assert calls == ["decode_searcher"] * 3
 
 
 def test_scenario_size_checked():
