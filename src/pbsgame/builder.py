@@ -78,26 +78,27 @@ def rank_offers(values: np.ndarray, bids: np.ndarray) -> np.ndarray:
 
 
 def greedy_scan(
-    owners: Sequence[int], values: Sequence[float], bids: Sequence[float], masks: Sequence[int],
-    capacity: int | None = None,
+    owners: Sequence[int], bids: Sequence[float], length: int, masks: Sequence[int],
+    bits: Sequence[int], capacity: int | None = None,
 ) -> tuple[list[int], float]:
     """One builder's greedy pass over its offers, ranked as ``rank_offers`` orders them.
 
-    Returns the positions of the included offers and their total bid, summed
-    from 0 left to right as ``Block.total_bid`` sums them. In a two-point
-    graph an addition leaves every other bundle's value unchanged or zero, so
-    the order never changes and an included bundle keeps its offered value
-    and bid; skipping the bundles an earlier addition zeroed (``masks``)
-    picks what re-sorting after every addition would.
+    Scans the first ``length`` offers, those of positive value, which rank
+    first: the rest are never included. ``masks[a]`` holds the bundles owner
+    ``a``'s bundle zeroes and ``bits[a]`` is ``1 << a``. Returns the
+    positions of the included offers and their total bid, summed from 0 left
+    to right as ``Block.total_bid`` sums them. In a two-point graph an
+    addition leaves every other bundle's value unchanged or zero, so the
+    order never changes and an included bundle keeps its offered value and
+    bid; skipping the bundles an earlier addition zeroed picks what
+    re-sorting after every addition would.
     """
     picked: list[int] = []
     total = 0
     blocked = 0
-    for k, owner in enumerate(owners):
-        # positive values rank first, so the first unzeroed non-positive one ends the scan
-        if not blocked >> owner & 1:
-            if values[k] <= 0:
-                break
+    for k in range(length):
+        owner = owners[k]
+        if not blocked & bits[owner]:
             picked.append(k)
             total += bids[k]
             if len(picked) == capacity:
@@ -121,8 +122,10 @@ def build_block(
     if capacity is not None and capacity < 1:
         raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
     offers = sorted(offers, key=itemgetter(0))
-    order = rank_offers([e[1] for e in offers], [e[2] for e in offers]).tolist()
-    ranked = [offers[k] for k in order]
-    owners, values, bids = zip(*ranked) if ranked else ((), (), ())
-    picked, _ = greedy_scan(owners, values, bids, graph.conflict_masks, capacity)
-    return Block(builder, tuple(BlockEntry(*ranked[k]) for k in picked), capacity)
+    owners, values, bids = zip(*offers) if offers else ((), (), ())
+    order = rank_offers(values, bids).tolist()
+    length = int(np.count_nonzero(np.greater(values, 0)))
+    bits = [1 << a for a in range(len(graph.weights))]
+    ranked_owners, ranked_bids = [owners[k] for k in order], [bids[k] for k in order]
+    picked, _ = greedy_scan(ranked_owners, ranked_bids, length, graph.conflict_masks, bits, capacity)
+    return Block(builder, tuple(BlockEntry(*offers[order[k]]) for k in picked), capacity)

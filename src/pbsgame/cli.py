@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -144,6 +145,10 @@ def _grid_config(args: argparse.Namespace) -> tuple[SimConfig, list[float], obje
     settings = _settings(args, _GRID_DEFAULTS)
     spec = settings.pop("pc")
     grid = _convert("pc", spec, lambda value: parse_grid(str(value)))
+    # each p_c keys its own rows in sweep.csv and hpt.csv
+    repeated = sorted(p for p, count in Counter(grid).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"bad pc {spec!r}: repeated p_c values {repeated}")
     return _sim_config(settings, p_c=grid[0]), grid, spec
 
 

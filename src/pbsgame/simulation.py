@@ -71,8 +71,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_builders < 0 or self.n_searchers < 0:
             raise ConfigError("agent counts must be non-negative")
-        if self.n_builders + self.n_searchers < 1:
-            raise ConfigError("need at least one agent")
+        if self.n_builders + self.n_searchers < 2:
+            # a round's scenario needs two bundles (``market.draw_round``)
+            raise ConfigError(f"need at least 2 agents, got {self.n_builders + self.n_searchers}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.p_c <= 1:
@@ -323,6 +324,12 @@ class Lockstep:
         owners[:, :, 0] = range(n_b)
         self._owners = owners.ravel()
         self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
+        # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
+        # column, read on the diagonal, is False
+        rows, cols = pair_indices(n)
+        self._pair_at = np.full((n, n), rows.size)
+        self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
+        self._bits = [1 << a for a in range(n)]
 
     def run_round(self, sims: Sequence[Simulation], scenario: Scenario | None = None) -> list[RoundRecord]:
         """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``;
@@ -334,15 +341,11 @@ class Lockstep:
         if scenario is None:
             values = np.empty((size, n))
             uniforms = np.empty((size, n))
-            pairs = []
+            pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
             for r, sim in enumerate(sims):
-                values[r], conflict = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
-                pairs.append(conflict)
+                values[r], pairs[r, :-1] = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
                 uniforms[r] = sim.rng.random(n)
-            rows, cols = pair_indices(n)
-            graphs = np.zeros((size, n, n), dtype=bool)
-            graphs[:, rows, cols] = graphs[:, cols, rows] = pairs
-            masks = conflict_masks(graphs)
+            masks = conflict_masks(pairs[:, self._pair_at])
         elif size != 1:
             raise ConfigError("a given scenario is played by a lone replica")
         elif scenario.n != n:
@@ -360,7 +363,9 @@ class Lockstep:
 
         if n_b > 0:
             # row [r, j]: the offers to builder j in owner order, its own bundle (bid at
-            # its whole value) then every searcher's; ranked as flat indices
+            # its whole value) then every searcher's; ranked as flat indices, each row's
+            # scan bounded by its count of positive values, which rank first. An offer's
+            # value is its owner's draw, so the winner's entries read it from ``values``.
             offer_values = np.empty((size, n_b, n - n_b + 1))
             offer_values[:] = values[:, None, n_b - 1 :]
             offer_values[:, :, 0] = values[:, :n_b]
@@ -369,23 +374,26 @@ class Lockstep:
             ranked = rank_offers(offer_values, offer_bids) + self._offsets
             offers = zip(
                 self._owners[ranked].tolist(),
-                offer_values.ravel()[ranked].tolist(),
                 offer_bids.ravel()[ranked].tolist(),
+                np.count_nonzero(offer_values > 0, axis=-1).tolist(),
                 masks,
                 alphas.tolist(),
+                values.tolist(),
             )
         outcomes = []
         triggers = np.empty((size, n))
         for r, sim in enumerate(sims):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
             if n_b > 0:
-                owners, worths, bids, bundle_masks, rebates = next(offers)
+                owners, bids, lengths, bundle_masks, rebates, worths = next(offers)
                 scans = [
-                    greedy_scan(*row, bundle_masks, cfg.capacity) for row in zip(owners, worths, bids)
+                    greedy_scan(*row, bundle_masks, self._bits, cfg.capacity)
+                    for row in zip(owners, bids, lengths)
                 ]
                 winner, payment = second_price([total for _, total in scans], sim.rng)
                 picked, total = scans[winner]
-                entries = [(owners[winner][k], worths[winner][k], bids[winner][k]) for k in picked]
+                won_owners, won_bids = owners[winner], bids[winner]
+                entries = [(won_owners[k], worths[won_owners[k]], won_bids[k]) for k in picked]
                 payoffs = tuple(distribute(winner, payment, total, entries, rebates[winner], n))
                 captured = reduce(operator.add, (entry[1] for entry in entries), 0.0)
                 residual = conservation_residual(payment + reduce(operator.add, payoffs, 0.0), captured)

@@ -296,6 +296,10 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["egta", "--agents", 2, "--rounds", 5, "--seed", -1], None, "seed"),
         (["verify-analytic", "--sign-points", 1, "--seed", -1], None, "seed"),
         (["simulate", "--rounds", 5], {"seed": -3}, "seed"),
+        # a repeated p_c wrote two cells under one (p_c, repetition) key to sweep.csv, and an
+        # hpt.csv that egta --hpt-file then refused
+        (["sweep", *SIM_ARGS, "--pc", "0.5,0.5", "--reps", 1], None, "repeated p_c"),
+        (["egta", "--agents", 2, "--rounds", 5, "--pc", "0.5,0.5"], None, "repeated p_c"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
@@ -304,7 +308,8 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
          "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf", "temperature-nan",
          "temperature-1e-320",
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
-         "egta-negative-seed", "verify-negative-seed", "config-negative-seed"],
+         "egta-negative-seed", "verify-negative-seed", "config-negative-seed", "sweep-repeated-pc",
+         "egta-repeated-pc"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
@@ -314,6 +319,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expecte
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_one_agent_exits_2_before_making_the_output_dir(tmp_path, capsys, command):
+    # a round needs two bundles: simulate made the directory and then failed at round 0
+    out = tmp_path / "out"
+    assert run_cli(command, "--builders", 1, "--searchers", 0, "--rounds", 5, "--jobs", 2, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "at least 2 agents" in err
+    assert not out.exists()
 
 
 HPT_HEADER = b"n_building,n_sharing,u_building,u_sharing,samples\n"
@@ -386,14 +402,17 @@ def test_config_file_pc_sets_the_sweep_grid(tmp_path):
 
 
 def test_egta_profiles_share_random_streams_across_pc(tmp_path):
-    # replica seeds carry no p_c index: equal p_c values give equal blocks
-    assert run_cli(
-        "egta", "--agents", 2, "--pc", "0.5,0.5", "--alpha", "1", "--reps", 2,
-        "--rounds", 30, "--seed", 4, "-o", tmp_path,
-    ) == 0
-    rows = (tmp_path / "hpt.csv").read_text().splitlines()[1:]
-    assert len(rows) == 6
-    assert rows[:3] == rows[3:]
+    # replica seeds carry no p_c index: a p_c gives the same blocks wherever it sits in the grid
+    tables = []
+    for grid in ("0.5", "0.3,0.5"):
+        assert run_cli(
+            "egta", "--agents", 2, "--pc", grid, "--alpha", "1", "--reps", 2,
+            "--rounds", 30, "--seed", 4, "-o", tmp_path / grid,
+        ) == 0
+        tables.append((tmp_path / grid / "hpt.csv").read_text().splitlines()[1:])
+    alone, second = tables
+    assert len(alone) == 3 and len(second) == 6
+    assert second[3:] == alone
 
 
 @pytest.mark.parametrize(

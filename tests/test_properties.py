@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 import pbsgame.simulation
 from pbsgame.analytic import MC_BLOCK, OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
-from pbsgame.auction import conservation_residual, run_auction, second_price, settle
-from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan
+from pbsgame.auction import conservation_residual, distribute, run_auction, second_price, settle
+from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan, rank_offers
 from pbsgame.codec import bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, StrategyPool, evolve, roulette, select_strategy
-from pbsgame.market import InteractionGraph, Scenario, draw_scenario
-from pbsgame.simulation import SimConfig, Simulation
+from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
+from pbsgame.simulation import Lockstep, SimConfig, Simulation
 
 # a few repeated levels make equal values and bids (and zero bid fractions) common
 VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 1.0))
@@ -157,7 +158,8 @@ BUILDER_GENOMES = st.one_of(st.sampled_from([0, 31]), st.integers(0, 31))
 @st.composite
 def rounds(draw):
     """A config, one fixed genome per agent, and a scenario with tie-prone values."""
-    n_builders, n_searchers = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    n_builders = draw(st.integers(1, 4))
+    n_searchers = draw(st.integers(max(0, 2 - n_builders), 5))  # a round needs two agents
     n = n_builders + n_searchers
     genomes = [format(draw(BUILDER_GENOMES), "05b") for _ in range(n_builders)]
     genomes += [format(draw(SEARCHER_GENOMES), "010b") for _ in range(n_searchers)]
@@ -180,11 +182,10 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     sim = Simulation(config)
     for pool, bits in zip(sim.pools, genomes):
         pool.codes[:] = int(bits, 2)
-    scans, ranked, auctions = [], [], []
+    scans, auctions, settled = [], [], []
 
     def scan_spy(*args):
         scans.append((args[0], *greedy_scan(*args)))
-        ranked.append(args[:3])
         return scans[-1][1:]
 
     def auction_spy(totals, rng):
@@ -193,8 +194,13 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
         auctions.append((before, outcome, rng.bit_generator.state))
         return outcome
 
+    def distribute_spy(winner, payment, total_bid, entries, *args):
+        settled.append(entries)
+        return distribute(winner, payment, total_bid, entries, *args)
+
     with mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
-            mock.patch.object(pbsgame.simulation, "second_price", auction_spy):
+            mock.patch.object(pbsgame.simulation, "second_price", auction_spy), \
+            mock.patch.object(pbsgame.simulation, "distribute", distribute_spy):
         record = sim.run_round(scenario)
 
     values, weights = scenario.values, scenario.graph.weights
@@ -216,13 +222,75 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     rng = np.random.default_rng()
     rng.bit_generator.state = before
     expected = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
-    (_, picked, _), (owners, worths, bids) = scans[winner], ranked[winner]
-    entries = tuple(BlockEntry(owners[k], worths[k], bids[k]) for k in picked)
-    assert entries == expected.winning_block.entries
+    [entries] = settled
+    assert tuple(entries) == expected.winning_block.entries
     assert (record.winner, record.payment) == (winner, payment) == (expected.winner, expected.payment)
     assert after == rng.bit_generator.state
     for k in range(config.n_agents):
         assert scenario.graph.conflicts(k) == frozenset(np.flatnonzero(weights[:, k]).tolist())
+
+
+# agent counts at the edges of the 64-bit words a conflict mask is packed from
+WORD_EDGES = st.sampled_from([2, 63, 64, 65, 130])
+CONFLICT_PROBABILITIES = st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=WORD_EDGES, n_builders=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       p_cs=st.lists(CONFLICT_PROBABILITIES, min_size=1, max_size=3))
+def test_round_graph_equals_the_drawn_scenario_graph(n, n_builders, seed, p_cs):
+    shape = SimConfig(n_builders=n_builders, n_searchers=n - n_builders, rounds=1, p_c=0.0)
+    lockstep = Lockstep(shape, len(p_cs))
+    configs = [replace(shape, p_c=p_c, seed=seed + r) for r, p_c in enumerate(p_cs)]
+    sims = [Simulation(config, None, lockstep, r) for r, config in enumerate(configs)]
+    states = [sim.rng.bit_generator.state for sim in sims]
+    gathered = []
+
+    def masks_spy(graphs):
+        gathered.append(graphs)
+        return conflict_masks(graphs)
+
+    with mock.patch.object(pbsgame.simulation, "conflict_masks", masks_spy):
+        lockstep.run_round(sims)
+
+    [graphs] = gathered
+    for graph, masks, state, p_c in zip(graphs, conflict_masks(graphs), states, p_cs):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        scenario = draw_scenario(n, p_c, shape.value_rate, rng)
+        assert np.array_equal(graph, scenario.graph.weights < 0)
+        assert masks == list(scenario.graph.conflict_masks)
+
+
+@st.composite
+def wide_offers(draw):
+    """One builder's offers among n agents at a mask-word edge: a subset of the owners that
+    always holds the last one (so above 64 agents an owner >= 64), tie-prone values and bid
+    fractions, a seeded random graph over all n, and a capacity."""
+    n = draw(WORD_EDGES)
+    owners = sorted({n - 1, *draw(st.lists(st.integers(0, n - 2), max_size=n - 1))})
+    bundles = [(owner, draw(VALUES), draw(FRACTIONS)) for owner in owners]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conflicts = np.triu(rng.random((n, n)) < draw(CONFLICT_PROBABILITIES), k=1)
+    graph = InteractionGraph(-(conflicts | conflicts.T).astype(float))
+    return bundles, graph, draw(st.one_of(st.none(), st.integers(1, len(owners))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_offers())
+def test_scan_equals_one_builder_greedy_across_mask_words(instance):
+    bundles, graph, capacity = instance
+    offered = offers(bundles)
+    ranked = [offered[k] for k in rank_offers([e.value for e in offered], [e.bid for e in offered]).tolist()]
+    length = len([e for e in offered if e.value > 0])
+    bits = [1 << a for a in range(len(graph.weights))]
+    picked, total = greedy_scan(
+        [e.owner for e in ranked], [e.bid for e in ranked], length, graph.conflict_masks, bits, capacity
+    )
+    expected = one_builder_greedy(offered, graph.weights, capacity)
+    assert [ranked[k] for k in picked] == expected
+    assert total == Block(0, tuple(expected)).total_bid
+    assert list(build_block(0, offered, graph, capacity).entries) == expected
 
 
 @settings(max_examples=200, deadline=None)

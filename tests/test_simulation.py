@@ -87,6 +87,9 @@ def test_config_validation():
         small_config(p_c=1.5)
     with pytest.raises(ConfigError):
         small_config(n_builders=0, n_searchers=0)
+    # no round can draw a scenario of one bundle
+    with pytest.raises(ConfigError, match="at least 2 agents"):
+        small_config(n_builders=1, n_searchers=0)
     with pytest.raises(ConfigError):
         small_config(value_rate=0)
     with pytest.raises(ConfigError):
