@@ -95,6 +95,8 @@ _CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "n
 _RUN_DEFAULTS = {"builders": 10, "searchers": 10, "rounds": 10000}
 _SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "snapshot_every": 1000}
 _GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
+# egta takes its role counts from --agents, so it has no builders or searchers setting
+_EGTA_KEYS = [key for key in _FIELDS if key not in ("builders", "searchers")]
 
 
 def _convert(key: str, value, convert):
@@ -107,11 +109,11 @@ def _convert(key: str, value, convert):
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
 
-def _settings(args: argparse.Namespace, defaults: dict) -> dict:
-    """Raw settings: the defaults, then the config file, then the flags given."""
+def _settings(args: argparse.Namespace, defaults: dict, keys=tuple(_FIELDS)) -> dict:
+    """Raw settings of ``keys``: the defaults, then the config file, then the flags given."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    settings = dict(defaults)
+    settings = {key: value for key, value in defaults.items() if key in keys}
     if args.config is not None:
         try:
             payload = json.loads(Path(args.config).read_text())
@@ -121,11 +123,11 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file {args.config}: not UTF-8 text: {exc.reason}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
-        unknown = set(payload) - set(_FIELDS)
+        unknown = set(payload) - set(keys)
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown keys {sorted(unknown)}")
         settings.update(payload)
-    for key in _FIELDS:
+    for key in keys:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
     return settings
@@ -140,23 +142,23 @@ def _sim_config(settings: dict, **extra) -> SimConfig:
     return SimConfig(**sim, ga=GAConfig(**ga))
 
 
-def _grid_config(args: argparse.Namespace) -> tuple[SimConfig, list[float], object]:
+def _grid_config(args, keys=tuple(_FIELDS), **extra) -> tuple[SimConfig, list[float], object]:
     """sweep and egta: the config at the first p_c of the grid, the grid, and its spec."""
-    settings = _settings(args, _GRID_DEFAULTS)
+    settings = _settings(args, _GRID_DEFAULTS, keys)
     spec = settings.pop("pc")
     grid = _convert("pc", spec, lambda value: parse_grid(str(value)))
     # each p_c keys its own rows in sweep.csv and hpt.csv
     repeated = sorted(p for p, count in Counter(grid).items() if count > 1)
     if repeated:
         raise ConfigError(f"bad pc {spec!r}: repeated p_c values {repeated}")
-    return _sim_config(settings, p_c=grid[0]), grid, spec
+    return _sim_config(settings, p_c=grid[0], **extra), grid, spec
 
 
-def _echo(config: SimConfig) -> dict:
+def _echo(config: SimConfig, keys=tuple(_FIELDS)) -> dict:
     """The manifest's config block: each key with the value the run used."""
     return {
         key: getattr(config.ga if field in _GA_FIELDS else config, field)
-        for key, field in _FIELDS.items()
+        for key, field in _FIELDS.items() if key in keys
     }
 
 
@@ -183,10 +185,14 @@ def _fmt(value) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     config = _sim_config(_settings(args, _SIMULATE_DEFAULTS), record_rounds=args.record_rounds)
+    sim = Simulation(config)  # a run too long for its series array ends here, before any output
     out = _output_dir(args)
 
-    sim = Simulation(config)
-    sim.run()
+    snapshots = []
+    for t in range(1, config.rounds + 1):  # t: the rounds played so far
+        sim.run_round()
+        if config.snapshot_every and (t % config.snapshot_every == 0 or t == config.rounds):
+            snapshots.append(sim.snapshot())
 
     metrics = sim.metrics
     bid_ma = moving_average(metrics.avg_bid_ratio, config.ma_window)
@@ -213,7 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     pools_path = out / "pools.json"
     with fresh_file(pools_path) as handle:
-        handle.write(json.dumps(sim.snapshots if sim.snapshots else [sim.snapshot()]))
+        handle.write(json.dumps(snapshots or [sim.snapshot()]))
     files.append(pools_path)
 
     write_manifest(
@@ -311,7 +317,8 @@ def cmd_egta(args: argparse.Namespace) -> int:
     else:
         if args.agents < 2:
             raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
-        template, p_values, spec = _grid_config(args)
+        # estimate_hpt sets each profile's counts; --agents gives the template's
+        template, p_values, spec = _grid_config(args, _EGTA_KEYS, n_builders=args.agents, n_searchers=0)
         out = _output_dir(args)
         tables = [
             (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
@@ -329,8 +336,8 @@ def cmd_egta(args: argparse.Namespace) -> int:
             ),
         )
         files = [hpt_path]
-        config = {**_echo(template), "pc": spec, "agents": args.agents, "alpha_grid": alpha_values,
-                  "reps": args.reps}
+        config = {**_echo(template, _EGTA_KEYS), "pc": spec, "agents": args.agents,
+                  "alpha_grid": alpha_values, "reps": args.reps}
         seed = template.seed
 
     rank_rows = [
@@ -388,9 +395,9 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
+def _add_sim_flags(parser: argparse.ArgumentParser, keys=tuple(_FIELDS)) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    for key in _FIELDS:
+    for key in keys:
         if key not in ("pc", "snapshot_every"):  # each command declares these itself
             parser.add_argument("--" + key.replace("_", "-"))
 
@@ -426,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_egta = sub.add_parser("egta", help="meta-game payoff table and alpha-rank")
-    _add_sim_flags(p_egta)
+    _add_sim_flags(p_egta, _EGTA_KEYS)
     _add_common_flags(p_egta)
     p_egta.add_argument("--agents", type=int, default=10, help="meta-game population size")
     p_egta.add_argument("--pc", help="p_c grid")

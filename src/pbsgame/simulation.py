@@ -39,7 +39,7 @@ from .codec import bid_ratio, decode_builder, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
 from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
-from .market import Scenario, conflict_masks, draw_round, pair_indices
+from .market import conflict_masks, draw_round, pair_indices
 from .market import draw_scenario  # noqa: F401  the benchmark's probes wrap this name
 
 # residuals beyond this share of the winning block's value (or of 1.0 for a
@@ -66,7 +66,7 @@ class SimConfig:
     seed: int = 0
     ma_window: int = 200
     record_rounds: bool = False
-    snapshot_every: int = 0  # pool snapshot period; 0 disables
+    snapshot_every: int = 0  # simulate's pool snapshot period; 0 disables
 
     def __post_init__(self):
         if self.n_builders < 0 or self.n_searchers < 0:
@@ -84,6 +84,8 @@ class SimConfig:
             if not (getattr(self, name) > 0 and 0 < 1 / getattr(self, name) < math.inf):
                 raise ConfigError(f"{name.replace('_', ' ')} and its inverse must be positive "
                                   f"and finite, got {getattr(self, name)}")
+        if not 0 <= self.learning_rate <= 1:  # written so that NaN fails too
+            raise ConfigError(f"learning rate must be in [0, 1], got {self.learning_rate}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
         if self.ma_window < 1:
@@ -210,10 +212,10 @@ def _segment_covs(codes: np.ndarray) -> list[list[float]]:
 
 
 class Simulation:
-    """One replica: its config, RNG, pool rows and their per-agent views, and the
-    accumulated metrics. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its
-    own when none is given, else that of a batch, whose replicas step only together
-    through ``Lockstep.run_round(sims)``."""
+    """One replica: its config, RNG, pool rows and their per-agent views, and its metric
+    series. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its own when none
+    is given, else that of a batch, whose replicas step only together through
+    ``Lockstep.run_round(sims)``."""
 
     def __init__(
         self, config: SimConfig, rng: np.random.Generator | None = None,
@@ -236,19 +238,17 @@ class Simulation:
         )
         self.round_index = 0
         self.max_residual = 0.0
-        self._metrics = MetricsSeries()
-        fields = [name for name in MetricsSeries.FIELDS if name not in MetricsSeries.CONSENSUS]
-        self._columns = [getattr(self._metrics, name) for name in fields]
+        # row [t]: round t's metrics, its consensus columns written for rounds < ``_filled``
+        self._series, self._filled = lockstep.series[row], 0
         # ``_segment_covs`` of every pool as of the last fill (the first is the first
         # round's), and each GA step since, as (round, agent, codes)
         self._pool_covs: list[float] | None = None
         self._log: list[tuple[int, int, np.ndarray]] = []
         self.records: list[RoundRecord] = []
-        self.snapshots: list[dict] = []
 
-    def run_round(self, scenario: Scenario | None = None) -> RoundRecord:
-        """Play one round; draws a scenario from the owned RNG unless given one."""
-        (record,) = self._lockstep.run_round([self], scenario)
+    def run_round(self) -> RoundRecord:
+        """Play one round, drawn from the owned RNG."""
+        (record,) = self._lockstep.run_round([self])
         return record
 
     def snapshot(self) -> dict:
@@ -266,14 +266,14 @@ class Simulation:
 
     @property
     def metrics(self) -> MetricsSeries:
-        """Every series up to ``round_index``."""
+        """Every series up to ``round_index``, as lists of Python floats."""
         self._fill_consensus()
-        return self._metrics
+        return MetricsSeries(*self._series[: self.round_index].T.tolist())
 
     def _fill_consensus(self) -> None:
-        """Extend the consensus series to ``round_index``: one ``cov`` over the logged pools,
+        """Fill the consensus columns to ``round_index``: one ``cov`` over the logged pools,
         then each role's ``_means`` after each step; a round takes those after its last."""
-        start, n_b = len(self._metrics.cov_alpha), self.config.n_builders
+        start, n_b = self._filled, self.config.n_builders
         if start == self.round_index:
             return
         states, rounds = [self._pool_covs], [t for t, _, _ in self._log]
@@ -287,8 +287,8 @@ class Simulation:
         covs = np.array(states)
         means = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
         latest = np.searchsorted(rounds, np.arange(start, self.round_index), side="right")
-        for name, column in zip(MetricsSeries.CONSENSUS, means[latest].T.tolist()):
-            getattr(self._metrics, name).extend(column)
+        self._series[start : self.round_index, 2:5] = means[latest]  # the ``CONSENSUS`` columns
+        self._filled = self.round_index
         self._pool_covs = states[-1]
 
     def run(self) -> MetricsSeries:
@@ -298,10 +298,11 @@ class Simulation:
 
 
 class Lockstep:
-    """The pool arrays of R replicas of one ``SimConfig.shape`` and the round that plays
-    them all at once.
+    """The pool arrays and metric series of R replicas of one ``SimConfig.shape`` and the
+    round that plays them all at once.
 
-    Pool state is two ``(R, agents, POOL_SIZE)`` arrays, genome codes and fitness; the
+    Pool state is two ``(R, agents, POOL_SIZE)`` arrays, genome codes and fitness, and the
+    series one ``(R, rounds, 8)`` float64 array in ``MetricsSeries.FIELDS`` order; the
     replica built with ``row=r`` owns rows ``r``. Each replica's generator makes exactly
     the calls a lone replica makes, in the same order: a per-replica loop draws values,
     pairs and selection uniforms, then runs the greedy scans, the auction (whose tie draw
@@ -314,6 +315,10 @@ class Lockstep:
     def __init__(self, config: SimConfig, size: int):
         self.config = config
         n, n_b, n_s = config.n_agents, config.n_builders, config.n_searchers
+        try:
+            self.series = np.empty((size, config.rounds, len(MetricsSeries.FIELDS)))
+        except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
+            raise ConfigError(f"cannot hold {config.rounds} rounds of metrics: {exc}") from exc
         self.codes = np.zeros((size, n, POOL_SIZE), dtype=np.int64)
         self.fitness = np.zeros(self.codes.shape)
         self._rows = POOL_SIZE * np.arange(size * n).reshape(size, n)  # flat index of pool [r, a]
@@ -331,29 +336,23 @@ class Lockstep:
         self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
         self._bits = [1 << a for a in range(n)]
 
-    def run_round(self, sims: Sequence[Simulation], scenario: Scenario | None = None) -> list[RoundRecord]:
-        """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``;
-        a given scenario is played by a lone replica. Returns each replica's record."""
+    def run_round(self, sims: Sequence[Simulation]) -> list[RoundRecord]:
+        """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``.
+        Returns each replica's record."""
         cfg, size = self.config, len(self.codes)
         n, n_b = cfg.n_agents, cfg.n_builders
-        if len(sims) != size or any(s._lockstep is not self or s._row != r for r, s in enumerate(sims)):
+        t = sims[0].round_index if sims else 0
+        placed = [(s._lockstep, s._row, s.round_index) for s in sims]
+        if placed != [(self, r, t) for r in range(size)]:
             raise ConfigError("the replicas of a lockstep step together, in row order")
-        if scenario is None:
-            values = np.empty((size, n))
-            uniforms = np.empty((size, n))
-            pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
-            for r, sim in enumerate(sims):
-                values[r], pairs[r, :-1] = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
-                uniforms[r] = sim.rng.random(n)
-            masks = conflict_masks(pairs[:, self._pair_at])
-        elif size != 1:
-            raise ConfigError("a given scenario is played by a lone replica")
-        elif scenario.n != n:
-            raise ConfigError(f"scenario has {scenario.n} bundles for {n} agents")
-        else:
-            values = np.array([scenario.values])
-            masks = [scenario.graph.conflict_masks]
-            uniforms = sims[0].rng.random(n)[None]
+        if t >= cfg.rounds:
+            raise ConfigError(f"all {cfg.rounds} rounds are played")
+        values, uniforms = np.empty((2, size, n))
+        pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
+        for r, sim in enumerate(sims):
+            values[r], pairs[r, :-1] = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
+            uniforms[r] = sim.rng.random(n)
+        masks = conflict_masks(pairs[:, self._pair_at])
 
         # strategy selection, one softmax draw per agent
         played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
@@ -399,9 +398,7 @@ class Lockstep:
                 residual = conservation_residual(payment + reduce(operator.add, payoffs, 0.0), captured)
                 # written so that a NaN residual fails too
                 if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, captured):
-                    raise NumericalError(
-                        f"payoff conservation violated by {residual:.3e} in round {sim.round_index}"
-                    )
+                    raise NumericalError(f"payoff conservation violated by {residual:.3e} in round {t}")
                 sim.max_residual = max(sim.max_residual, residual)
             outcomes.append((winner, payment, payoffs, residual))
             triggers[r] = sim.rng.random(n)
@@ -418,16 +415,18 @@ class Lockstep:
         for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
             sim = sims[r]
             evolve(sim.pools[agent], cfg.ga, sim.rng)
-            sim._log.append((sim.round_index, agent, sim.codes[agent].copy()))
+            sim._log.append((t, agent, sim.codes[agent].copy()))
 
-        metrics = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b]).tolist()
+        # row t of every replica's series but for the consensus columns, which the fill writes
+        means = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b])
+        row = self.series[:, t]
+        row[:, :2], row[:, 5:7] = means[:, :2], means[:, 2:]
+        row[:, 7] = [outcome[1] for outcome in outcomes]
         if cfg.record_rounds:
             recorded = zip(alphas.tolist(), betas.tolist(), played.tolist())
         records = []
-        for sim, row, (winner, payment, payoffs, residual) in zip(sims, metrics, outcomes):
-            for column, value in zip(sim._columns, (*row, payment)):
-                column.append(value)
-            record = RoundRecord(sim.round_index, {}, {}, {}, winner, payment, payoffs, residual)
+        for sim, (winner, payment, payoffs, residual) in zip(sims, outcomes):
+            record = RoundRecord(t, {}, {}, {}, winner, payment, payoffs, residual)
             if cfg.record_rounds:
                 alpha_row, beta_rows, codes = next(recorded)
                 record.alphas = dict(enumerate(alpha_row))
@@ -437,10 +436,6 @@ class Lockstep:
             sim.round_index += 1
             if len(sim._log) >= LOG_FLUSH:
                 sim._fill_consensus()
-            if cfg.snapshot_every and (
-                sim.round_index % cfg.snapshot_every == 0 or sim.round_index == cfg.rounds
-            ):
-                sim.snapshots.append(sim.snapshot())
             records.append(record)
         return records
 

@@ -99,9 +99,6 @@ def sweep_conflict(
     """Run the grid and return a long-format table sorted by (p_c, rep, metric)."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    for p in p_values:
-        if not 0 <= p <= 1:
-            raise ConfigError(f"conflict probability must be in [0, 1], got {p}")
 
     cells = list(itertools.product(range(len(p_values)), range(repetitions)))
     summaries = run_replicas(

@@ -19,7 +19,8 @@ held as bit strings, in the order the round consumes its generator:
    by numpy's 1-D mean and standard deviation.
 
 It also holds the asymmetric Laplace density and distribution of v1 - v2, the
-oracle the closed-form market's quadrature and Monte Carlo checks integrate.
+oracle the closed-form market's quadrature and Monte Carlo checks integrate, and
+``given_scenario``, which makes the simulator's next rounds play a fixed market.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 
+import pbsgame.simulation
 from pbsgame.errors import ConfigError
-from pbsgame.market import draw_scenario
+from pbsgame.market import draw_scenario, pair_indices
 
 POOL_SIZE = 20
 BUILDER_WIDTH = 5
@@ -229,3 +232,12 @@ def laplace_cdf(x: float, rate1: float, rate2: float) -> float:
     if x < 0:
         return rate1 / (rate1 + rate2) * math.exp(rate2 * x)
     return 1.0 - rate2 / (rate1 + rate2) * math.exp(-rate1 * x)
+
+
+def given_scenario(scenario):
+    """A patch under which every round plays ``scenario``: the round's draw returns its
+    values and pair draws and makes no generator call, so a round draws only its
+    selection uniforms, GA triggers and any auction tie, as a drawn round then does."""
+    rows, cols = pair_indices(scenario.n)
+    draws = (np.array(scenario.values), scenario.graph.weights[rows, cols] < 0)
+    return mock.patch.object(pbsgame.simulation, "draw_round", lambda n, p_c, rate, rng: draws)

@@ -20,7 +20,7 @@ from pbsgame.errors import ConfigError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import SimConfig, Simulation
-from reference import laplace_cdf, laplace_pdf
+from reference import given_scenario, laplace_cdf, laplace_pdf
 
 
 def test_pdf_at_zero_is_shared_constant():
@@ -230,8 +230,9 @@ def test_two_builder_simulation_reproduces_expected_payoff():
         rebate1=alpha1,
         rebate2=alpha2,
     )
+    n_rounds = 40_000
     config = SimConfig(
-        n_builders=2, n_searchers=1, rounds=1, p_c=0.0, seed=0,
+        n_builders=2, n_searchers=1, rounds=n_rounds, p_c=0.0, seed=0,
         learning_rate=0.0, ga=GAConfig(trigger=0.0),
     )
     sim = Simulation(config)
@@ -239,12 +240,12 @@ def test_two_builder_simulation_reproduces_expected_payoff():
         pool.codes[:] = int(bits, 2)
 
     rng = np.random.default_rng(99)
-    n_rounds = 40_000
     graph = InteractionGraph.independent(3)
     payoffs = np.empty(n_rounds)
     for t in range(n_rounds):
         v1, v2 = rng.exponential(0.1, 2)
         scenario = Scenario(values=(float(v1), float(v2), v3), graph=graph)
-        payoffs[t] = sim.run_round(scenario).payoffs[2]
+        with given_scenario(scenario):
+            payoffs[t] = sim.run_round().payoffs[2]
     stderr = payoffs.std(ddof=1) / math.sqrt(n_rounds)
     assert abs(payoffs.mean() - expected_searcher_payoff(m)) < 3 * stderr

@@ -7,6 +7,7 @@ import pytest
 
 from pbsgame.cli import main, parse_grid
 from pbsgame.errors import ConfigError
+from pbsgame.simulation import SimConfig, Simulation
 from pbsgame.sweep import SWEEP_METRICS
 
 
@@ -300,6 +301,9 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         # hpt.csv that egta --hpt-file then refused
         (["sweep", *SIM_ARGS, "--pc", "0.5,0.5", "--reps", 1], None, "repeated p_c"),
         (["egta", "--agents", 2, "--rounds", 5, "--pc", "0.5,0.5"], None, "repeated p_c"),
+        # egta takes its role counts from --agents; its template took them from these keys
+        (["egta", "--agents", 2, "--rounds", 5], {"builders": 1}, "builders"),
+        (["egta", "--agents", 2, "--rounds", 5], {"searchers": 0}, "searchers"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
@@ -309,7 +313,7 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
          "temperature-1e-320",
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
          "egta-negative-seed", "verify-negative-seed", "config-negative-seed", "sweep-repeated-pc",
-         "egta-repeated-pc"],
+         "egta-repeated-pc", "egta-config-builders", "egta-config-searchers"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
@@ -330,6 +334,72 @@ def test_one_agent_exits_2_before_making_the_output_dir(tmp_path, capsys, comman
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "at least 2 agents" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # simulate made the directory, and sweep started its workers, before a pool refused it
+        (["simulate", "--learning-rate", 1.5], "learning rate"),
+        (["sweep", "--learning-rate", "nan", "--jobs", 2], "learning rate"),
+        # no array holds 2**61 rounds of series: the parent run went on without end
+        (["simulate", "--rounds", 2**61], "rounds of metrics"),
+    ],
+    ids=["simulate-learning-rate-1.5", "sweep-learning-rate-nan", "simulate-unallocatable-series"],
+)
+def test_bad_run_setting_exits_2_before_making_the_output_dir(tmp_path, capsys, argv, expected):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--builders", 2, "--searchers", 2, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+    assert not out.exists()
+
+
+def test_sweep_takes_no_snapshots(tmp_path, monkeypatch):
+    # a sweep config file may set snapshot_every, and each round took a snapshot, which
+    # no sweep output holds
+    calls = []
+    monkeypatch.setattr(Simulation, "snapshot", lambda sim: calls.append(sim.round_index))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"snapshot_every": 1}))
+    assert run_cli("sweep", *SIM_ARGS, "--config", cfg, "--reps", 1, "-o", tmp_path) == 0
+    assert calls == []
+
+
+def test_egta_has_no_role_count_flags(tmp_path, capsys):
+    # the counts only built a template whose counts every profile replaced: this exited 2
+    # with "need at least 2 agents, got 1"
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("egta", "--builders", 1, "--searchers", 0, "--agents", 2, "--rounds", 5, "-o", tmp_path)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --builders 1 --searchers 0" in capsys.readouterr().err
+    assert not (tmp_path / "hpt.csv").exists()
+
+
+POOLS_ARGS = ["--builders", 3, "--searchers", 3, "--pc", 0.5, "--seed", 11]
+
+
+def test_pools_json_holds_the_snapshots_on_schedule(tmp_path):
+    assert run_cli("simulate", *POOLS_ARGS, "--rounds", 20, "--snapshot-every", 10, "-o", tmp_path) == 0
+    snapshots = json.loads((tmp_path / "pools.json").read_text())
+    assert [s["round"] for s in snapshots] == [10, 20]
+    snap = snapshots[0]
+    assert len(snap["pools"]) == 6
+    assert all(len(p["strategies"]) == 20 for p in snap["pools"])
+
+
+def test_pools_json_equals_the_snapshots_of_a_run_stepped_by_hand(tmp_path):
+    assert run_cli("simulate", *POOLS_ARGS, "--rounds", 50, "--snapshot-every", 25, "-o", tmp_path) == 0
+    snapshots = json.loads((tmp_path / "pools.json").read_text())
+    sim = Simulation(SimConfig(n_builders=3, n_searchers=3, rounds=50, p_c=0.5, seed=11))
+    by_hand = []
+    for _ in range(2):
+        for _ in range(25):
+            sim.run_round()
+        by_hand.append(sim.snapshot())
+    assert [s["round"] for s in snapshots] == [25, 50]
+    assert snapshots == json.loads(json.dumps(by_hand))
 
 
 HPT_HEADER = b"n_building,n_sharing,u_building,u_sharing,samples\n"
@@ -415,22 +485,25 @@ def test_egta_profiles_share_random_streams_across_pc(tmp_path):
     assert second[3:] == alone
 
 
+SETTINGS = [
+    "builders", "searchers", "rounds", "pc", "value_rate", "temperature", "learning_rate",
+    "trigger", "elimination", "mutation", "capacity", "seed", "ma_window", "snapshot_every",
+]
+
+
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, keys",
     [
-        (["simulate", *SIM_ARGS], []),
+        (["simulate", *SIM_ARGS], SETTINGS),
         (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 10, "--pc", "0.5", "--reps", 1],
-         ["pc_grid", "reps"]),
+         SETTINGS + ["pc_grid", "reps"]),
+        # egta takes its role counts from --agents, so it echoes no builders or searchers
         (["egta", "--agents", 2, "--pc", "0.5", "--alpha", "1", "--reps", 1, "--rounds", 10],
-         ["agents", "alpha_grid", "reps"]),
+         SETTINGS[2:] + ["agents", "alpha_grid", "reps"]),
     ],
     ids=["simulate", "sweep", "egta"],
 )
-def test_manifest_config_keys(tmp_path, argv, extra):
+def test_manifest_config_keys(tmp_path, argv, keys):
     assert run_cli(*argv, "-o", tmp_path) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    keys = [
-        "builders", "searchers", "rounds", "pc", "value_rate", "temperature", "learning_rate",
-        "trigger", "elimination", "mutation", "capacity", "seed", "ma_window", "snapshot_every",
-    ]
-    assert list(manifest["config"]) == keys + extra
+    assert list(manifest["config"]) == keys

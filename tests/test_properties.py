@@ -19,6 +19,7 @@ from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, StrategyPool, evolve, roulette, select_strategy
 from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
 from pbsgame.simulation import Lockstep, SimConfig, Simulation
+from reference import given_scenario
 
 # a few repeated levels make equal values and bids (and zero bid fractions) common
 VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 1.0))
@@ -200,8 +201,9 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
 
     with mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
             mock.patch.object(pbsgame.simulation, "second_price", auction_spy), \
-            mock.patch.object(pbsgame.simulation, "distribute", distribute_spy):
-        record = sim.run_round(scenario)
+            mock.patch.object(pbsgame.simulation, "distribute", distribute_spy), \
+            given_scenario(scenario):
+        record = sim.run_round()
 
     values, weights = scenario.values, scenario.graph.weights
     blocks = {}

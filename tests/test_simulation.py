@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -29,6 +30,7 @@ from pbsgame.simulation import (
     summarize,
 )
 from pbsgame.sweep import SWEEP_METRICS, replica_rng, run_replicas, sweep_conflict
+from reference import given_scenario
 
 
 def small_config(**overrides):
@@ -98,6 +100,10 @@ def test_config_validation():
         small_config(temperature=math.nan)
     with pytest.raises(ConfigError, match="value rate"):
         small_config(value_rate=1e-320)
+    # the fitness moving average needs a step in [0, 1]; NaN made every fitness NaN
+    for rate in (1.5, -0.1, math.nan):
+        with pytest.raises(ConfigError, match="learning rate"):
+            small_config(learning_rate=rate)
 
 
 def test_deterministic_replay():
@@ -166,7 +172,8 @@ def test_single_builder_single_searcher_matches_settlement_formula():
     alpha = 20 / 31
     beta = bid_ratio(decode_searcher(int("1010001010", 2)), alpha)
     scenario = Scenario(values=(0.2, 0.1), graph=InteractionGraph.independent(2))
-    record = sim.run_round(scenario)
+    with given_scenario(scenario):
+        record = sim.run_round()
     total = 0.2 + beta * 0.1
     assert record.payment == 0.0
     assert record.payoffs[1] == pytest.approx((1 - beta) * 0.1 + alpha * total)
@@ -218,15 +225,6 @@ def test_records_only_when_enabled():
     assert len(sim.records) == 10
 
 
-def test_snapshots_taken_on_schedule():
-    sim = Simulation(small_config(rounds=20, snapshot_every=10))
-    sim.run()
-    assert [s["round"] for s in sim.snapshots] == [10, 20]
-    snap = sim.snapshots[0]
-    assert len(snap["pools"]) == 6
-    assert all(len(p["strategies"]) == 20 for p in snap["pools"])
-
-
 def test_summarize_keys():
     sim = Simulation(small_config(rounds=30))
     sim.run()
@@ -244,13 +242,6 @@ def test_round_decodes_no_genome_unless_recording(monkeypatch):
     # the spies are live: a recording round decodes its searchers' codes for the record
     Simulation(small_config(rounds=1, record_rounds=True)).run()
     assert calls == ["decode_searcher"] * 3
-
-
-def test_scenario_size_checked():
-    sim = Simulation(small_config())
-    wrong = Scenario(values=(0.1, 0.1), graph=InteractionGraph.independent(2))
-    with pytest.raises(ConfigError):
-        sim.run_round(wrong)
 
 
 def test_replica_rng_is_deterministic_and_index_sensitive():
@@ -358,9 +349,6 @@ def test_lockstep_takes_one_shape_and_steps_its_replicas_together():
     with pytest.raises(ConfigError, match="p_c and seed"):
         Simulation(small_config(rounds=6), None, lockstep, 1)
     sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
-    scenario = Scenario(values=(0.1,) * 6, graph=InteractionGraph.independent(6))
-    with pytest.raises(ConfigError, match="lone replica"):
-        lockstep.run_round(sims, scenario)
     for wrong in (sims[:1], sims[::-1], [sims[0], Simulation(configs[1])]):
         with pytest.raises(ConfigError, match="step together"):
             lockstep.run_round(wrong)
@@ -443,17 +431,51 @@ def test_settlement_is_the_same_under_a_compensated_sum(monkeypatch, config):
 
 
 def test_run_plays_only_the_rounds_left():
-    sim = Simulation(small_config(rounds=50, snapshot_every=25))
+    sim = Simulation(small_config(rounds=50))
     for _ in range(5):
         sim.run_round()
     sim.run()
-    whole = Simulation(small_config(rounds=50, snapshot_every=25))
+    whole = Simulation(small_config(rounds=50))
     whole.run()
     assert sim.round_index == 50 and len(sim.metrics) == 50
-    assert [s["round"] for s in sim.snapshots] == [25, 50]
-    assert sim.metrics == whole.metrics and sim.snapshots == whole.snapshots
+    assert sim.metrics == whole.metrics
     sim.run()  # nothing is left
     assert sim.round_index == 50
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_a_round_past_the_configured_rounds_is_refused(replicas):
+    config = small_config(rounds=3)
+    lockstep = Lockstep(config, replicas)
+    sims = [Simulation(dataclasses.replace(config, seed=r), None, lockstep, r) for r in range(replicas)]
+    lockstep.run(sims)
+    states = [sim.rng.bit_generator.state for sim in sims]
+    series = [sim.metrics for sim in sims]
+    with pytest.raises(ConfigError, match="all 3 rounds"):
+        lockstep.run_round(sims)
+    assert [sim.round_index for sim in sims] == [3] * replicas
+    assert [sim.rng.bit_generator.state for sim in sims] == states
+    assert [sim.metrics for sim in sims] == series
+
+
+def test_a_lockstep_holds_at_most_100_bytes_per_replica_round():
+    # eight float64 series take 64 B a replica-round; eight lists of Python floats took
+    # ~32 B a value. A read fills the consensus series and empties the GA logs.
+    def held(rounds):
+        config = small_config(rounds=rounds)
+        tracemalloc.start()
+        try:
+            lockstep = Lockstep(config, 4)
+            sims = [Simulation(dataclasses.replace(config, seed=r), None, lockstep, r) for r in range(4)]
+            lockstep.run(sims)
+            for sim in sims:
+                sim.metrics
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held(100)  # fills the lazily built lookup tables and numpy's small-buffer cache
+    assert (held(2100) - held(100)) / (4 * 2000) <= 100
 
 
 def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
@@ -475,7 +497,7 @@ def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
     # a full log, which one round's steps may take past the flush size
     assert calls[0] == 3 and len(calls) > 1
     assert all(LOG_FLUSH <= steps < LOG_FLUSH + config.n_agents for steps in calls[1:])
-    assert all(0 < len(sim._metrics.cov_alpha) < config.rounds for sim in sims)
+    assert all(0 < sim._filled < config.rounds for sim in sims)
 
 
 def test_sweep_shape_and_determinism_across_jobs():
