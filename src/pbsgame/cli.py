@@ -1,7 +1,7 @@
 """Command-line entry point: simulate, sweep, egta, verify-analytic.
 
 Settings come from an optional JSON config file plus flag overrides, flags
-winning; a setting neither gives keeps its ``SimConfig``/``GAConfig`` default.
+winning; a setting neither gives keeps the one default written for it.
 Every run writes a manifest with sha256 checksums of the emitted files;
 re-running with the same seed reproduces identical checksums regardless of
 --jobs.
@@ -85,15 +85,16 @@ _FIELDS = {
     "builders": "n_builders", "searchers": "n_searchers", "rounds": "rounds", "pc": "p_c",
     "value_rate": "value_rate", "temperature": "temperature", "learning_rate": "learning_rate",
     "trigger": "trigger", "elimination": "elimination", "mutation": "mutation",
-    "capacity": "capacity", "seed": "seed", "ma_window": "ma_window",
-    "snapshot_every": "snapshot_every",
+    "capacity": "capacity", "seed": "seed",
 }
 _GA_FIELDS = {f.name for f in fields(GAConfig)}
 _TYPES = {**get_type_hints(SimConfig), **get_type_hints(GAConfig)}
 # the only optional field is capacity, which a file may also set to "none"
 _CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "none") else int(v)}
 _RUN_DEFAULTS = {"builders": 10, "searchers": 10, "rounds": 10000}
-_SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "snapshot_every": 1000}
+_SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "ma_window": 200, "snapshot_every": 1000}
+# simulate's output settings shape metrics.csv and pools.json only, so no SimConfig holds them
+_SIMULATE_KEYS = (*_FIELDS, "ma_window", "snapshot_every")
 _GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
 # egta takes its role counts from --agents, so it has no builders or searchers setting
 _EGTA_KEYS = [key for key in _FIELDS if key not in ("builders", "searchers")]
@@ -144,6 +145,8 @@ def _sim_config(settings: dict, **extra) -> SimConfig:
 
 def _grid_config(args, keys=tuple(_FIELDS), **extra) -> tuple[SimConfig, list[float], object]:
     """sweep and egta: the config at the first p_c of the grid, the grid, and its spec."""
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     settings = _settings(args, _GRID_DEFAULTS, keys)
     spec = settings.pop("pc")
     grid = _convert("pc", spec, lambda value: parse_grid(str(value)))
@@ -151,7 +154,8 @@ def _grid_config(args, keys=tuple(_FIELDS), **extra) -> tuple[SimConfig, list[fl
     repeated = sorted(p for p, count in Counter(grid).items() if count > 1)
     if repeated:
         raise ConfigError(f"bad pc {spec!r}: repeated p_c values {repeated}")
-    return _sim_config(settings, p_c=grid[0], **extra), grid, spec
+    configs = [_sim_config(settings, p_c=p, **extra) for p in grid]  # each checked before any output
+    return configs[0], grid, spec
 
 
 def _echo(config: SimConfig, keys=tuple(_FIELDS)) -> dict:
@@ -184,19 +188,26 @@ def _fmt(value) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    config = _sim_config(_settings(args, _SIMULATE_DEFAULTS), record_rounds=args.record_rounds)
-    sim = Simulation(config)  # a run too long for its series array ends here, before any output
+    settings = _settings(args, _SIMULATE_DEFAULTS, _SIMULATE_KEYS)
+    window = _convert("ma_window", settings.pop("ma_window"), int)
+    every = _convert("snapshot_every", settings.pop("snapshot_every"), int)
+    if window < 1:
+        raise ConfigError(f"moving-average window must be >= 1, got {window}")
+    if every < 0:
+        raise ConfigError(f"snapshot period must be >= 0, got {every}")
+    config = _sim_config(settings, record_rounds=args.record_rounds)
+    sim = Simulation(config)  # a run too large for its arrays ends here, before any output
     out = _output_dir(args)
 
     snapshots = []
     for t in range(1, config.rounds + 1):  # t: the rounds played so far
         sim.run_round()
-        if config.snapshot_every and (t % config.snapshot_every == 0 or t == config.rounds):
+        if every and (t % every == 0 or t == config.rounds):
             snapshots.append(sim.snapshot())
 
     metrics = sim.metrics
-    bid_ma = moving_average(metrics.avg_bid_ratio, config.ma_window)
-    rebate_ma = moving_average(metrics.avg_rebate_ratio, config.ma_window)
+    bid_ma = moving_average(metrics.avg_bid_ratio, window)
+    rebate_ma = moving_average(metrics.avg_rebate_ratio, window)
     metrics_path = out / "metrics.csv"
     _write_csv(
         metrics_path,
@@ -222,9 +233,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         handle.write(json.dumps(snapshots or [sim.snapshot()]))
     files.append(pools_path)
 
-    write_manifest(
-        out, "simulate", _echo(config), config.seed, files, time.monotonic() - started, __version__
-    )
+    echo = {**_echo(config), "ma_window": window, "snapshot_every": every}
+    write_manifest(out, "simulate", echo, config.seed, files, time.monotonic() - started, __version__)
     print(f"simulate: {config.rounds} rounds -> {out}")
     return 0
 
@@ -249,8 +259,6 @@ def _round_rows(sim: Simulation):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     base, p_values, spec = _grid_config(args)
     out = _output_dir(args)
 
@@ -315,8 +323,6 @@ def cmd_egta(args: argparse.Namespace) -> int:
         config = {"hpt_file": args.hpt_file, "pc": [p for p, _ in tables], "alpha_grid": alpha_values}
         seed = None
     else:
-        if args.agents < 2:
-            raise ConfigError(f"the meta-game needs at least 2 agents, got {args.agents}")
         # estimate_hpt sets each profile's counts; --agents gives the template's
         template, p_values, spec = _grid_config(args, _EGTA_KEYS, n_builders=args.agents, n_searchers=0)
         out = _output_dir(args)
@@ -364,7 +370,6 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
     points = (args.sign_points, args.mc_points, args.fd_points)
     if min(points) < 0 or sum(points) == 0:
         raise ConfigError(f"point counts must be >= 0 with at least one point, got {points}")
-    out = _output_dir(args)
     report = verification_report(
         sign_points=args.sign_points,
         mc_points=args.mc_points,
@@ -372,6 +377,7 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
         fd_points=args.fd_points,
         seed=args.seed,
     )
+    out = _output_dir(args)  # after the report, so bad input leaves no directory behind
     report_path = out / "verify.json"
     with fresh_file(report_path) as handle:
         handle.write(json.dumps(report, indent=2) + "\n")
@@ -398,7 +404,7 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
 def _add_sim_flags(parser: argparse.ArgumentParser, keys=tuple(_FIELDS)) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     for key in keys:
-        if key not in ("pc", "snapshot_every"):  # each command declares these itself
+        if key != "pc":  # each command declares its own, a value or a grid
             parser.add_argument("--" + key.replace("_", "-"))
 
 
@@ -416,10 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one co-evolution simulation")
-    _add_sim_flags(p_sim)
+    _add_sim_flags(p_sim, _SIMULATE_KEYS)
     _add_common_flags(p_sim)
     p_sim.add_argument("--pc", help="bundle conflict probability")
-    p_sim.add_argument("--snapshot-every")
     p_sim.add_argument(
         "--record-rounds", dest="record_rounds", action="store_true", help="emit rounds.csv"
     )

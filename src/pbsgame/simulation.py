@@ -64,9 +64,7 @@ class SimConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     capacity: int | None = None
     seed: int = 0
-    ma_window: int = 200
     record_rounds: bool = False
-    snapshot_every: int = 0  # simulate's pool snapshot period; 0 disables
 
     def __post_init__(self):
         if self.n_builders < 0 or self.n_searchers < 0:
@@ -88,10 +86,6 @@ class SimConfig:
             raise ConfigError(f"learning rate must be in [0, 1], got {self.learning_rate}")
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1 or None, got {self.capacity}")
-        if self.ma_window < 1:
-            raise ConfigError(f"moving-average window must be >= 1, got {self.ma_window}")
-        if self.snapshot_every < 0:
-            raise ConfigError(f"snapshot period must be >= 0, got {self.snapshot_every}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -317,23 +311,23 @@ class Lockstep:
         n, n_b, n_s = config.n_agents, config.n_builders, config.n_searchers
         try:
             self.series = np.empty((size, config.rounds, len(MetricsSeries.FIELDS)))
+            self.codes = np.zeros((size, n, POOL_SIZE), dtype=np.int64)
+            self.fitness = np.zeros(self.codes.shape)
+            self._rows = POOL_SIZE * np.arange(size * n).reshape(size, n)  # flat index of pool [r, a]
+            width = n_s + 1
+            # offer [r, j, k]: builder j's own bundle at k = 0, then searcher n_b + k - 1
+            owners = np.empty((size, n_b, width), dtype=np.intp)
+            owners[:] = range(n_b - 1, n)
+            owners[:, :, 0] = range(n_b)
+            self._owners = owners.ravel()
+            self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
+            # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
+            # column, read on the diagonal, is False
+            rows, cols = pair_indices(n)
+            self._pair_at = np.full((n, n), rows.size)
+            self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
         except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
-            raise ConfigError(f"cannot hold {config.rounds} rounds of metrics: {exc}") from exc
-        self.codes = np.zeros((size, n, POOL_SIZE), dtype=np.int64)
-        self.fitness = np.zeros(self.codes.shape)
-        self._rows = POOL_SIZE * np.arange(size * n).reshape(size, n)  # flat index of pool [r, a]
-        width = n_s + 1
-        # offer [r, j, k]: builder j's own bundle at k = 0, then searcher n_b + k - 1
-        owners = np.empty((size, n_b, width), dtype=np.intp)
-        owners[:] = range(n_b - 1, n)
-        owners[:, :, 0] = range(n_b)
-        self._owners = owners.ravel()
-        self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
-        # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
-        # column, read on the diagonal, is False
-        rows, cols = pair_indices(n)
-        self._pair_at = np.full((n, n), rows.size)
-        self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
+            raise ConfigError(f"cannot hold {config.rounds} rounds of metrics of {n} agents: {exc}") from exc
         self._bits = [1 << a for a in range(n)]
 
     def run_round(self, sims: Sequence[Simulation]) -> list[RoundRecord]:

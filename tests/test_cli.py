@@ -304,6 +304,11 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         # egta takes its role counts from --agents; its template took them from these keys
         (["egta", "--agents", 2, "--rounds", 5], {"builders": 1}, "builders"),
         (["egta", "--agents", 2, "--rounds", 5], {"searchers": 0}, "searchers"),
+        # simulate's output settings: sweep and egta checked and echoed them, and read neither
+        (["sweep", *SIM_ARGS], {"ma_window": 7}, "unknown keys ['ma_window']"),
+        (["sweep", *SIM_ARGS], {"snapshot_every": 1}, "unknown keys ['snapshot_every']"),
+        (["egta", "--agents", 2, "--rounds", 5], {"ma_window": 7}, "unknown keys ['ma_window']"),
+        (["egta", "--agents", 2, "--rounds", 5], {"snapshot_every": 1}, "unknown keys ['snapshot_every']"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
@@ -313,7 +318,9 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
          "temperature-1e-320",
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
          "egta-negative-seed", "verify-negative-seed", "config-negative-seed", "sweep-repeated-pc",
-         "egta-repeated-pc", "egta-config-builders", "egta-config-searchers"],
+         "egta-repeated-pc", "egta-config-builders", "egta-config-searchers",
+         "sweep-config-ma-window", "sweep-config-snapshot-every", "egta-config-ma-window",
+         "egta-config-snapshot-every"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
@@ -356,15 +363,39 @@ def test_bad_run_setting_exits_2_before_making_the_output_dir(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_sweep_takes_no_snapshots(tmp_path, monkeypatch):
-    # a sweep config file may set snapshot_every, and each round took a snapshot, which
-    # no sweep output holds
-    calls = []
-    monkeypatch.setattr(Simulation, "snapshot", lambda sim: calls.append(sim.round_index))
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"snapshot_every": 1}))
-    assert run_cli("sweep", *SIM_ARGS, "--config", cfg, "--reps", 1, "-o", tmp_path) == 0
-    assert calls == []
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # only sweep checked --reps first: egta left an empty directory
+        (["egta", "--agents", 2, "--rounds", 5, "--pc", 0.5, "--alpha", 1, "--reps", 0], "--reps"),
+        # only the grid's first p_c went through SimConfig before the directory was made
+        (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 5, "--pc", "0.5,1.5"], "got 1.5"),
+        (["egta", "--agents", 2, "--rounds", 5, "--pc", "0.5,1.5"], "got 1.5"),
+        # the report was made after the directory
+        (["verify-analytic", "--sign-points", 1, "--mc-points", 0, "--fd-points", 0, "--seed", -1],
+         "seed"),
+        # numpy refuses the byte size of these pools before touching memory: a traceback, exit 1
+        (["simulate", "--builders", 10**17, "--searchers", 0, "--rounds", 1], "rounds of metrics"),
+    ],
+    ids=["egta-reps-0", "sweep-pc-past-1", "egta-pc-past-1", "verify-negative-seed",
+         "simulate-unallocatable-pools"],
+)
+def test_bad_input_exits_2_before_making_the_output_dir(tmp_path, capsys, argv, expected):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "egta"])
+def test_sweep_and_egta_have_no_ma_window_flag(tmp_path, capsys, command):
+    # the window shapes only simulate's metrics.csv: sweep wrote the same sweep.csv with any
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(command, "--ma-window", 7, "--rounds", 5, "-o", tmp_path)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --ma-window 7" in capsys.readouterr().err
 
 
 def test_egta_has_no_role_count_flags(tmp_path, capsys):
@@ -387,6 +418,24 @@ def test_pools_json_holds_the_snapshots_on_schedule(tmp_path):
     snap = snapshots[0]
     assert len(snap["pools"]) == 6
     assert all(len(p["strategies"]) == 20 for p in snap["pools"])
+
+
+def test_simulate_config_file_sets_its_output_settings(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ma_window": 3, "snapshot_every": 10}))
+    assert run_cli("simulate", *POOLS_ARGS, "--rounds", 20, "--config", cfg, "-o", tmp_path / "file") == 0
+    assert run_cli("simulate", *POOLS_ARGS, "--rounds", 20, "--ma-window", 3, "--snapshot-every", 10,
+                   "-o", tmp_path / "flags") == 0
+    for name in ("metrics.csv", "pools.json"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    with open(tmp_path / "file" / "metrics.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert float(rows[5]["bid_ratio_ma"]) == pytest.approx(
+        sum(float(row["avg_bid_ratio"]) for row in rows[3:6]) / 3
+    )
+    assert [s["round"] for s in json.loads((tmp_path / "file" / "pools.json").read_text())] == [10, 20]
+    manifest = json.loads((tmp_path / "file" / "manifest.json").read_text())
+    assert (manifest["config"]["ma_window"], manifest["config"]["snapshot_every"]) == (3, 10)
 
 
 def test_pools_json_equals_the_snapshots_of_a_run_stepped_by_hand(tmp_path):
@@ -487,14 +536,15 @@ def test_egta_profiles_share_random_streams_across_pc(tmp_path):
 
 SETTINGS = [
     "builders", "searchers", "rounds", "pc", "value_rate", "temperature", "learning_rate",
-    "trigger", "elimination", "mutation", "capacity", "seed", "ma_window", "snapshot_every",
+    "trigger", "elimination", "mutation", "capacity", "seed",
 ]
 
 
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["simulate", *SIM_ARGS], SETTINGS),
+        # simulate alone reads its output settings, and echoes them last
+        (["simulate", *SIM_ARGS], SETTINGS + ["ma_window", "snapshot_every"]),
         (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 10, "--pc", "0.5", "--reps", 1],
          SETTINGS + ["pc_grid", "reps"]),
         # egta takes its role counts from --agents, so it echoes no builders or searchers
@@ -507,3 +557,26 @@ def test_manifest_config_keys(tmp_path, argv, keys):
     assert run_cli(*argv, "-o", tmp_path) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert list(manifest["config"]) == keys
+
+
+# a valid value other than the base run's, for each setting sweep may echo
+OTHER_VALUES = {
+    "builders": 3, "searchers": 2, "rounds": 60, "pc": 0.3, "value_rate": 5.0, "temperature": 1.0,
+    "learning_rate": 0.2, "trigger": 0.2, "elimination": 0.25, "mutation": 0.1, "capacity": 1,
+    "seed": 4,
+}
+
+
+def test_every_setting_sweep_echoes_changes_sweep_csv(tmp_path):
+    # sweep echoed ma_window and snapshot_every, and read neither
+    base = ["--builders", 2, "--searchers", 3, "--rounds", 80, "--pc", 0.5, "--reps", 1,
+            "--trigger", 0.05, "--seed", 3]
+    assert run_cli("sweep", *base, "-o", tmp_path / "base") == 0
+    reference = (tmp_path / "base" / "sweep.csv").read_bytes()
+    echoed = json.loads((tmp_path / "base" / "manifest.json").read_text())["config"]
+    keys = [key for key in echoed if key not in ("pc_grid", "reps")]
+    assert set(keys) == set(OTHER_VALUES)
+    for key in keys:
+        out = tmp_path / key
+        assert run_cli("sweep", *base, "--" + key.replace("_", "-"), OTHER_VALUES[key], "-o", out) == 0
+        assert (out / "sweep.csv").read_bytes() != reference, key
