@@ -2,6 +2,12 @@
 
 Settings come from an optional JSON config file plus flag overrides, flags
 winning; a setting neither gives keeps the one default written for it.
+
+A command checks its input and computes its results without touching the
+filesystem, and returns them as a ``Result``; ``main`` alone writes. It checks
+the output path before any work and makes the directory only once the
+results exist, so a run that fails leaves no output behind. The one
+exception is verify-analytic's exit 4: its failing report is written first.
 Every run writes a manifest with sha256 checksums of the emitted files;
 re-running with the same seed reproduces identical checksums regardless of
 --jobs.
@@ -19,7 +25,8 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import fields, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -112,8 +119,6 @@ def _convert(key: str, value, convert):
 
 def _settings(args: argparse.Namespace, defaults: dict, keys=tuple(_FIELDS)) -> dict:
     """Raw settings of ``keys``: the defaults, then the config file, then the flags given."""
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     settings = {key: value for key, value in defaults.items() if key in keys}
     if args.config is not None:
         try:
@@ -154,7 +159,7 @@ def _grid_config(args, keys=tuple(_FIELDS), **extra) -> tuple[SimConfig, list[fl
     repeated = sorted(p for p, count in Counter(grid).items() if count > 1)
     if repeated:
         raise ConfigError(f"bad pc {spec!r}: repeated p_c values {repeated}")
-    configs = [_sim_config(settings, p_c=p, **extra) for p in grid]  # each checked before any output
+    configs = [_sim_config(settings, p_c=p, **extra) for p in grid]  # each checked before any run
     return configs[0], grid, spec
 
 
@@ -166,18 +171,21 @@ def _echo(config: SimConfig, keys=tuple(_FIELDS)) -> dict:
     }
 
 
-def _output_dir(args: argparse.Namespace) -> Path:
-    default = os.environ.get("PBSGAME_OUTPUT", "out")
-    path = Path(args.output if args.output is not None else default)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@dataclass(frozen=True)
+class Result:
+    """What a command computed, for ``main`` to write.
 
+    ``files`` maps each output file name, in write order, to its JSON text or
+    to a CSV header and its rows; rows may be a generator that formats values
+    already computed. ``failure`` is a numerical failure, reported once the
+    files are written.
+    """
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with fresh_file(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    files: dict[str, str | tuple[list[str], Iterable]]
+    config: dict
+    seed: int | None
+    summary: str
+    failure: str | None = None
 
 
 def _fmt(value) -> str:
@@ -186,8 +194,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_simulate(args: argparse.Namespace) -> Result:
     settings = _settings(args, _SIMULATE_DEFAULTS, _SIMULATE_KEYS)
     window = _convert("ma_window", settings.pop("ma_window"), int)
     every = _convert("snapshot_every", settings.pop("snapshot_every"), int)
@@ -196,8 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if every < 0:
         raise ConfigError(f"snapshot period must be >= 0, got {every}")
     config = _sim_config(settings, record_rounds=args.record_rounds)
-    sim = Simulation(config)  # a run too large for its arrays ends here, before any output
-    out = _output_dir(args)
+    sim = Simulation(config)  # a run too large for its arrays ends here
 
     snapshots = []
     for t in range(1, config.rounds + 1):  # t: the rounds played so far
@@ -208,35 +214,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     metrics = sim.metrics
     bid_ma = moving_average(metrics.avg_bid_ratio, window)
     rebate_ma = moving_average(metrics.avg_rebate_ratio, window)
-    metrics_path = out / "metrics.csv"
-    _write_csv(
-        metrics_path,
-        ["round", *metrics.FIELDS, "bid_ratio_ma", "rebate_ratio_ma"],
-        (
-            [t, *(_fmt(v) for v in metrics.row(t)), _fmt(bid_ma[t]), _fmt(rebate_ma[t])]
-            for t in range(len(metrics))
-        ),
-    )
-    files = [metrics_path]
-
+    files = {
+        "metrics.csv": (
+            ["round", *metrics.FIELDS, "bid_ratio_ma", "rebate_ratio_ma"],
+            (
+                [t, *(_fmt(v) for v in metrics.row(t)), _fmt(bid_ma[t]), _fmt(rebate_ma[t])]
+                for t in range(len(metrics))
+            ),
+        )
+    }
     if config.record_rounds:
-        rounds_path = out / "rounds.csv"
-        _write_csv(
-            rounds_path,
+        files["rounds.csv"] = (
             ["round", "agent", "role", "alpha", "gamma1", "gamma2", "payoff"],
             _round_rows(sim),
         )
-        files.append(rounds_path)
-
-    pools_path = out / "pools.json"
-    with fresh_file(pools_path) as handle:
-        handle.write(json.dumps(snapshots or [sim.snapshot()]))
-    files.append(pools_path)
+    files["pools.json"] = json.dumps(snapshots or [sim.snapshot()])
 
     echo = {**_echo(config), "ma_window": window, "snapshot_every": every}
-    write_manifest(out, "simulate", echo, config.seed, files, time.monotonic() - started, __version__)
-    print(f"simulate: {config.rounds} rounds -> {out}")
-    return 0
+    return Result(files, echo, config.seed, f"simulate: {config.rounds} rounds")
 
 
 def _round_rows(sim: Simulation):
@@ -257,29 +252,18 @@ def _round_rows(sim: Simulation):
         yield [record.index, -1, "proposer", "", "", "", _fmt(record.payment)]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_sweep(args: argparse.Namespace) -> Result:
     base, p_values, spec = _grid_config(args)
-    out = _output_dir(args)
-
     rows = sweep_conflict(base, p_values, args.reps, jobs=args.jobs)
-    sweep_path = out / "sweep.csv"
-    _write_csv(
-        sweep_path,
-        ["p_c", "repetition", "metric", "value"],
-        ([_fmt(r.p_c), r.repetition, r.metric, _fmt(r.value)] for r in rows),
-    )
-    write_manifest(
-        out,
-        "sweep",
+    return Result(
+        {"sweep.csv": (
+            ["p_c", "repetition", "metric", "value"],
+            ([_fmt(r.p_c), r.repetition, r.metric, _fmt(r.value)] for r in rows),
+        )},
         {**_echo(base), "pc": spec, "pc_grid": p_values, "reps": args.reps},
         base.seed,
-        [sweep_path],
-        time.monotonic() - started,
-        __version__,
+        f"sweep: {len(p_values)} p values x {args.reps} reps",
     )
-    print(f"sweep: {len(p_values)} p values x {args.reps} reps -> {out}")
-    return 0
 
 
 def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
@@ -308,31 +292,26 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
     ]
 
 
-def cmd_egta(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_egta(args: argparse.Namespace) -> Result:
     alpha_values = parse_grid(args.alpha)
     if not all(0 < alpha < math.inf for alpha in alpha_values):
         raise ConfigError(f"ranking intensity must be positive and finite, got {args.alpha}")
 
-    # (p_c cell, payoff table) pairs, and the manifest's config block and seed
+    # (p_c cell, payoff table) pairs, the files, and the manifest's config block and seed
     if args.hpt_file:
         tables = _load_hpt_file(args.hpt_file)
-        out = _output_dir(args)
-        files = []
+        files = {}
         # nothing is simulated: echo the table ranked, not the unused run settings
         config = {"hpt_file": args.hpt_file, "pc": [p for p, _ in tables], "alpha_grid": alpha_values}
         seed = None
     else:
         # estimate_hpt sets each profile's counts; --agents gives the template's
         template, p_values, spec = _grid_config(args, _EGTA_KEYS, n_builders=args.agents, n_searchers=0)
-        out = _output_dir(args)
         tables = [
             (_fmt(p), estimate_hpt(args.agents, replace(template, p_c=p), args.reps, args.jobs))
             for p in p_values
         ]
-        hpt_path = out / "hpt.csv"
-        _write_csv(
-            hpt_path,
+        files = {"hpt.csv": (
             ["p_c", "n_building", "n_sharing", "u_building", "u_sharing", "samples", "max_residual"],
             (
                 [p, row.n_building, row.n_sharing, _fmt(row.u_building), _fmt(row.u_sharing),
@@ -340,8 +319,7 @@ def cmd_egta(args: argparse.Namespace) -> int:
                 for p, hpt in tables
                 for row in hpt.rows
             ),
-        )
-        files = [hpt_path]
+        )}
         config = {**_echo(template, _EGTA_KEYS), "pc": spec, "agents": args.agents,
                   "alpha_grid": alpha_values, "reps": args.reps}
         seed = template.seed
@@ -351,17 +329,11 @@ def cmd_egta(args: argparse.Namespace) -> int:
         for p, hpt in tables
         for result in intensity_sweep(hpt, alpha_values)
     ]
-    rank_path = out / "alpharank.csv"
-    _write_csv(rank_path, ["p_c", "alpha", "nu_building", "nu_sharing"], rank_rows)
-    files.append(rank_path)
-
-    write_manifest(out, "egta", config, seed, files, time.monotonic() - started, __version__)
-    print(f"egta: {len(rank_rows)} alpha-rank rows -> {out}")
-    return 0
+    files["alpharank.csv"] = (["p_c", "alpha", "nu_building", "nu_sharing"], rank_rows)
+    return Result(files, config, seed, f"egta: {len(rank_rows)} alpha-rank rows")
 
 
-def cmd_verify_analytic(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_verify_analytic(args: argparse.Namespace) -> Result:
     mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
     # numpy cannot size a float64 sample array beyond this many bytes
     most = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -377,13 +349,8 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
         fd_points=args.fd_points,
         seed=args.seed,
     )
-    out = _output_dir(args)  # after the report, so bad input leaves no directory behind
-    report_path = out / "verify.json"
-    with fresh_file(report_path) as handle:
-        handle.write(json.dumps(report, indent=2) + "\n")
-    write_manifest(
-        out,
-        "verify-analytic",
+    return Result(
+        {"verify.json": json.dumps(report, indent=2) + "\n"},
         {
             "sign_points": args.sign_points,
             "mc_points": args.mc_points,
@@ -391,14 +358,9 @@ def cmd_verify_analytic(args: argparse.Namespace) -> int:
             "fd_points": args.fd_points,
         },
         args.seed,
-        [report_path],
-        time.monotonic() - started,
-        __version__,
+        f"verify-analytic: passed={report['passed']}",
+        None if report["passed"] else "analytic verification failed; see verify.json",
     )
-    print(f"verify-analytic: passed={report['passed']} -> {out}")
-    if not report["passed"]:
-        raise NumericalError("analytic verification failed; see verify.json")
-    return 0
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser, keys=tuple(_FIELDS)) -> None:
@@ -463,11 +425,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_path(args: argparse.Namespace) -> Path:
+    """The output directory, checked but not made, so that a path that cannot take the output
+    fails before the run: its nearest existing ancestor must be a directory this process may write."""
+    path = Path(args.output if args.output is not None else os.environ.get("PBSGAME_OUTPUT", "out"))
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise OSError(f"output path {path}: {existing} is not a writable directory")
+    return path
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        out = _output_path(args)
+        started = time.monotonic()
+        result = args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in result.files.items():
+            with fresh_file(out / name) as handle:
+                if isinstance(content, str):
+                    handle.write(content)
+                else:
+                    writer = csv.writer(handle, lineterminator="\n")
+                    writer.writerow(content[0])
+                    writer.writerows(content[1])
+        files = [out / name for name in result.files]
+        write_manifest(out, args.command, result.config, result.seed, files, time.monotonic() - started,
+                       __version__)
+        print(f"{result.summary} -> {out}")
+        if result.failure:
+            raise NumericalError(result.failure)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import SimConfig
+from .simulation import Lockstep, SimConfig
 from .sweep import run_replicas
 
 STRATEGY_NAMES = ("building", "sharing")
@@ -77,6 +77,7 @@ def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> Heuri
         raise ConfigError(f"meta-game needs at least 2 agents, got {m}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    Lockstep(replace(template, n_builders=m, n_searchers=0), 1)  # a profile too large to hold ends here
     tasks = [
         (replace(template, n_builders=n1, n_searchers=m - n1), template.seed, (n1, rep))
         for n1 in range(1, m + 1)

@@ -241,22 +241,68 @@ def test_rerun_replaces_older_longer_outputs(tmp_path, argv, names):
     manifest_checksums_ok(rerun)
 
 
+VERIFY_ARGS = ["--sign-points", 20, "--mc-points", 2, "--mc-samples", "1e5", "--fd-points", 5, "--seed", 1]
+
+
 def test_verify_analytic_report(tmp_path):
-    assert run_cli(
-        "verify-analytic", "--sign-points", 20, "--mc-points", 2, "--mc-samples", "1e5",
-        "--fd-points", 5, "--seed", 1, "-o", tmp_path,
-    ) == 0
+    assert run_cli("verify-analytic", *VERIFY_ARGS, "-o", tmp_path) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"]
     assert report["sign_check"]["violations"] == 0
     manifest_checksums_ok(tmp_path)
 
 
-def test_output_dir_collision_is_io_error(tmp_path, capsys):
+def forbid_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for name in ("Simulation", "sweep_conflict", "estimate_hpt", "verification_report"):
+        monkeypatch.setattr(f"pbsgame.cli.{name}", no_work)
+
+
+@pytest.mark.parametrize(
+    "argv, under",
+    [
+        (["simulate", *SIM_ARGS], ""),
+        (["sweep", *SIM_ARGS, "--reps", 1], ""),
+        (["egta", "--agents", 2, "--pc", 0.5, "--alpha", 1, "--reps", 1, "--rounds", 30], ""),
+        # verify-analytic built its whole report before it found the path taken
+        (["verify-analytic", *VERIFY_ARGS], ""),
+        (["sweep", *SIM_ARGS, "--reps", 1], "sub"),
+    ],
+    ids=["simulate", "sweep", "egta", "verify-analytic", "sweep-under-a-file"],
+)
+def test_output_dir_collision_is_io_error(tmp_path, capsys, monkeypatch, argv, under):
+    forbid_work(monkeypatch)
     target = tmp_path / "occupied"
     target.write_text("a file, not a directory")
-    assert run_cli("simulate", *SIM_ARGS, "-o", target) == 3
-    assert "io error" in capsys.readouterr().err
+    assert run_cli(*argv, "-o", target / under) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1, err
+    assert "not a writable directory" in err
+    assert target.read_text() == "a file, not a directory"
+
+
+def test_unwritable_output_parent_is_io_error_before_any_work(tmp_path, capsys, monkeypatch):
+    # the run would end in a write it cannot make; root passes any mode, so access is faked
+    forbid_work(monkeypatch)
+    monkeypatch.setattr("os.access", lambda path, mode: path != tmp_path)
+    assert run_cli("sweep", *SIM_ARGS, "--reps", 1, "-o", tmp_path / "out" / "sub") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1, err
+    assert "not a writable directory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failing_verification_writes_its_report_and_exits_4(tmp_path, capsys, monkeypatch):
+    report = {"passed": False, "sign_check": {"violations": 1}}
+    monkeypatch.setattr("pbsgame.cli.verification_report", lambda **kwargs: report)
+    out = tmp_path / "out"
+    assert run_cli("verify-analytic", *VERIFY_ARGS, "-o", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+    assert json.loads((out / "verify.json").read_text()) == report
+    assert list(manifest_checksums_ok(out)["files"]) == ["verify.json"]
 
 
 @pytest.mark.parametrize(
@@ -296,6 +342,9 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
         (["sweep", *SIM_ARGS, "--seed", -1], None, "seed"),
         (["egta", "--agents", 2, "--rounds", 5, "--seed", -1], None, "seed"),
         (["verify-analytic", "--sign-points", 1, "--seed", -1], None, "seed"),
+        # verify-analytic alone left --jobs unchecked, and exited 0
+        (["verify-analytic", "--sign-points", 1, "--mc-points", 0, "--fd-points", 0, "--jobs", -3],
+         None, "--jobs"),
         (["simulate", "--rounds", 5], {"seed": -3}, "seed"),
         # a repeated p_c wrote two cells under one (p_c, repetition) key to sweep.csv, and an
         # hpt.csv that egta --hpt-file then refused
@@ -317,7 +366,8 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
          "pc-grid-1e300-points", "alpha-grid-1e9-points", "alpha-grid-inf", "temperature-nan",
          "temperature-1e-320",
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
-         "egta-negative-seed", "verify-negative-seed", "config-negative-seed", "sweep-repeated-pc",
+         "egta-negative-seed", "verify-negative-seed", "verify-negative-jobs", "config-negative-seed",
+         "sweep-repeated-pc",
          "egta-repeated-pc", "egta-config-builders", "egta-config-searchers",
          "sweep-config-ma-window", "sweep-config-snapshot-every", "egta-config-ma-window",
          "egta-config-snapshot-every"],
@@ -376,9 +426,18 @@ def test_bad_run_setting_exits_2_before_making_the_output_dir(tmp_path, capsys, 
          "seed"),
         # numpy refuses the byte size of these pools before touching memory: a traceback, exit 1
         (["simulate", "--builders", 10**17, "--searchers", 0, "--rounds", 1], "rounds of metrics"),
+        # egta listed 10**17 profile configs before any was allocated, until memory ran out
+        (["egta", "--agents", 10**17, "--rounds", 1, "--pc", 0.5, "--alpha", 1, "--reps", 1],
+         "rounds of metrics"),
+        # the series were allocated after the directory was made, which stayed behind empty
+        (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 2**61, "--pc", 0.5, "--reps", 1],
+         "rounds of metrics"),
+        (["egta", "--agents", 2, "--rounds", 2**61, "--pc", 0.5, "--alpha", 1, "--reps", 1],
+         "rounds of metrics"),
     ],
     ids=["egta-reps-0", "sweep-pc-past-1", "egta-pc-past-1", "verify-negative-seed",
-         "simulate-unallocatable-pools"],
+         "simulate-unallocatable-pools", "egta-unallocatable-pools", "sweep-unallocatable-series",
+         "egta-unallocatable-series"],
 )
 def test_bad_input_exits_2_before_making_the_output_dir(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"
