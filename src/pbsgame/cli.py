@@ -34,11 +34,12 @@ import numpy as np
 
 from . import __version__
 from .analytic import verification_report
+from .codec import BUILDER_ALPHAS, decode_searcher
 from .egta import HeuristicPayoffTable, HptRow, estimate_hpt, intensity_sweep
 from .errors import ConfigError, NumericalError
 from .evolution import GAConfig
 from .manifest import fresh_file, write_manifest
-from .simulation import SimConfig, Simulation, moving_average
+from .simulation import RoundRecord, SimConfig, Simulation, moving_average
 from .sweep import sweep_conflict
 
 
@@ -202,12 +203,14 @@ def cmd_simulate(args: argparse.Namespace) -> Result:
         raise ConfigError(f"moving-average window must be >= 1, got {window}")
     if every < 0:
         raise ConfigError(f"snapshot period must be >= 0, got {every}")
-    config = _sim_config(settings, record_rounds=args.record_rounds)
+    config = _sim_config(settings)
     sim = Simulation(config)  # a run too large for its arrays ends here
 
-    snapshots = []
+    records, snapshots = [], []
     for t in range(1, config.rounds + 1):  # t: the rounds played so far
-        sim.run_round()
+        record = sim.run_round()
+        if args.record_rounds:
+            records.append(record)
         if every and (t % every == 0 or t == config.rounds):
             snapshots.append(sim.snapshot())
 
@@ -223,10 +226,10 @@ def cmd_simulate(args: argparse.Namespace) -> Result:
             ),
         )
     }
-    if config.record_rounds:
+    if args.record_rounds:
         files["rounds.csv"] = (
             ["round", "agent", "role", "alpha", "gamma1", "gamma2", "payoff"],
-            _round_rows(sim),
+            _round_rows(config, records),
         )
     files["pools.json"] = json.dumps(snapshots or [sim.snapshot()])
 
@@ -234,21 +237,16 @@ def cmd_simulate(args: argparse.Namespace) -> Result:
     return Result(files, echo, config.seed, f"simulate: {config.rounds} rounds")
 
 
-def _round_rows(sim: Simulation):
-    for record in sim.records:
-        for agent in range(sim.config.n_agents):
-            role = sim.config.role_of(agent)
-            alpha = record.alphas.get(agent)
-            gamma = record.gammas.get(agent)
-            yield [
-                record.index,
-                agent,
-                role,
-                _fmt(alpha),
-                _fmt(gamma.gamma1 if gamma else None),
-                _fmt(gamma.gamma2 if gamma else None),
-                _fmt(record.payoffs[agent]),
-            ]
+def _round_rows(config: SimConfig, records: list[RoundRecord]):
+    """rounds.csv: each agent's played genome, decoded here, and payoff, then the payment."""
+    for record in records:
+        for agent, code in enumerate(record.codes.tolist()):
+            if agent < config.n_builders:
+                alpha, gammas = BUILDER_ALPHAS[code], (None, None)
+            else:
+                alpha, gammas = None, decode_searcher(code)
+            yield [record.index, agent, config.role_of(agent), _fmt(alpha), *map(_fmt, gammas),
+                   _fmt(record.payoffs[agent])]
         yield [record.index, -1, "proposer", "", "", "", _fmt(record.payment)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .simulation import Lockstep, SimConfig
-from .sweep import run_replicas
+from .sweep import MAX_REPLICAS, run_replicas
 
 STRATEGY_NAMES = ("building", "sharing")
 
@@ -78,6 +78,8 @@ def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> Heuri
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     Lockstep(replace(template, n_builders=m, n_searchers=0), 1)  # a profile too large to hold ends here
+    if m * reps > MAX_REPLICAS:
+        raise ConfigError(f"{m} profiles x {reps} reps is more than {MAX_REPLICAS} replicas")
     tasks = [
         (replace(template, n_builders=n1, n_searchers=m - n1), template.seed, (n1, rep))
         for n1 in range(1, m + 1)

@@ -34,8 +34,8 @@ from .auction import run_auction, settle  # noqa: F401  the benchmark's layer pr
 from .builder import greedy_scan, rank_offers
 from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
 from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, SEGMENT_MAX
-from .codec import SearcherParams, bid_ratios, decode_searcher, random_codes
-from .codec import bid_ratio, decode_builder, segment_ints  # noqa: F401  probed
+from .codec import bid_ratios, random_codes
+from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
 from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
@@ -64,7 +64,6 @@ class SimConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     capacity: int | None = None
     seed: int = 0
-    record_rounds: bool = False
 
     def __post_init__(self):
         if self.n_builders < 0 or self.n_searchers < 0:
@@ -112,13 +111,12 @@ class SimConfig:
 
 @dataclass
 class RoundRecord:
-    """One round's outcome. With ``record_rounds`` off the round returns, but does not keep,
-    a record whose ``alphas``, ``gammas`` and ``betas`` are empty: it decodes no searcher."""
+    """One replica's round: the genome code each agent played and the outcome. The round
+    keeps none and decodes no genome; ``simulate --record-rounds`` keeps them and decodes
+    the codes as it writes rounds.csv."""
 
     index: int
-    alphas: dict[int, float]  # builder -> announced rebate ratio
-    gammas: dict[int, SearcherParams]  # searcher -> decoded parameters
-    betas: dict[int, tuple[float, ...]]  # searcher -> bid ratio per builder
+    codes: np.ndarray  # agent -> played genome code, a row view of the round's played codes
     winner: int | None
     payment: float
     payoffs: tuple[float, ...]
@@ -238,7 +236,6 @@ class Simulation:
         # round's), and each GA step since, as (round, agent, codes)
         self._pool_covs: list[float] | None = None
         self._log: list[tuple[int, int, np.ndarray]] = []
-        self.records: list[RoundRecord] = []
 
     def run_round(self) -> RoundRecord:
         """Play one round, drawn from the owned RNG."""
@@ -304,6 +301,7 @@ class Lockstep:
     steps follow, each logged by its replica. Selection, bids, offer ranking, the fitness
     update and the per-round metrics run once per round on the stacked arrays, each row
     reduced on its own; the first round takes every pool's CoV, batched over replicas.
+    Each round returns every replica's ``RoundRecord``, keeps none and decodes no genome.
     """
 
     def __init__(self, config: SimConfig, size: int):
@@ -332,7 +330,7 @@ class Lockstep:
 
     def run_round(self, sims: Sequence[Simulation]) -> list[RoundRecord]:
         """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``.
-        Returns each replica's record."""
+        Returns each replica's ``RoundRecord``."""
         cfg, size = self.config, len(self.codes)
         n, n_b = cfg.n_agents, cfg.n_builders
         t = sims[0].round_index if sims else 0
@@ -373,7 +371,7 @@ class Lockstep:
                 alphas.tolist(),
                 values.tolist(),
             )
-        outcomes = []
+        records = []
         triggers = np.empty((size, n))
         for r, sim in enumerate(sims):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
@@ -394,12 +392,12 @@ class Lockstep:
                 if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, captured):
                     raise NumericalError(f"payoff conservation violated by {residual:.3e} in round {t}")
                 sim.max_residual = max(sim.max_residual, residual)
-            outcomes.append((winner, payment, payoffs, residual))
+            records.append(RoundRecord(t, played[r], winner, payment, payoffs, residual))
             triggers[r] = sim.rng.random(n)
 
         # only the played strategy learns; losers and the excluded see payoff 0
         eta = cfg.learning_rate
-        rewards = np.array([outcome[2] for outcome in outcomes])
+        rewards = np.array([record.payoffs for record in records])
         fitness = self.fitness.reshape(-1)
         fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * rewards
 
@@ -415,22 +413,11 @@ class Lockstep:
         means = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b])
         row = self.series[:, t]
         row[:, :2], row[:, 5:7] = means[:, :2], means[:, 2:]
-        row[:, 7] = [outcome[1] for outcome in outcomes]
-        if cfg.record_rounds:
-            recorded = zip(alphas.tolist(), betas.tolist(), played.tolist())
-        records = []
-        for sim, (winner, payment, payoffs, residual) in zip(sims, outcomes):
-            record = RoundRecord(t, {}, {}, {}, winner, payment, payoffs, residual)
-            if cfg.record_rounds:
-                alpha_row, beta_rows, codes = next(recorded)
-                record.alphas = dict(enumerate(alpha_row))
-                record.gammas = {i: decode_searcher(codes[i]) for i in cfg.searcher_ids}
-                record.betas = dict(zip(cfg.searcher_ids, map(tuple, beta_rows)))
-                sim.records.append(record)
+        row[:, 7] = [record.payment for record in records]
+        for sim in sims:
             sim.round_index += 1
             if len(sim._log) >= LOG_FLUSH:
                 sim._fill_consensus()
-            records.append(record)
         return records
 
     def run(self, sims: Sequence[Simulation]) -> None:

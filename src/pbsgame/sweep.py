@@ -47,6 +47,9 @@ def replica_rng(master_seed: int, *indices: int) -> np.random.Generator:
 
 # replicas per lockstep batch at most: bounds a worker's series memory
 MAX_BATCH = 32
+# replicas a sweep or one egta payoff table may list at most: each builds its task list
+# whole, so the count is checked first
+MAX_REPLICAS = 10**6
 
 
 def _run_batch(tasks: list[tuple[SimConfig, int, tuple[int, ...]]]) -> list[dict[str, float]]:
@@ -99,6 +102,9 @@ def sweep_conflict(
     """Run the grid and return a long-format table sorted by (p_c, rep, metric)."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if len(p_values) * repetitions > MAX_REPLICAS:
+        raise ConfigError(f"{len(p_values)} p_c values x {repetitions} repetitions "
+                          f"is more than {MAX_REPLICAS} replicas")
 
     cells = list(itertools.product(range(len(p_values)), range(repetitions)))
     summaries = run_replicas(

@@ -211,11 +211,9 @@ class ReferenceRun:
         s["searcher_reward"].append(mean([payoffs[i] for i in self.searchers]))
         s["builder_reward"].append(mean([payoffs[j] for j in self.builders]))
         s["proposer_reward"].append(payment)
-        if cfg.record_rounds:
-            self.records.append((
-                index, dict(enumerate(alphas)), gammas, betas, winner, payment, tuple(payoffs),
-                residual,
-            ))
+        self.records.append((
+            index, dict(enumerate(alphas)), gammas, betas, winner, payment, tuple(payoffs), residual,
+        ))
 
 
 def laplace_pdf(x: float, rate1: float, rate2: float) -> float:

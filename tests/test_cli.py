@@ -2,11 +2,14 @@ import csv
 import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
+from pbsgame import cli
 from pbsgame.cli import main, parse_grid
 from pbsgame.errors import ConfigError
+from pbsgame.evolution import GAConfig
 from pbsgame.simulation import SimConfig, Simulation
 from pbsgame.sweep import SWEEP_METRICS
 
@@ -434,10 +437,15 @@ def test_bad_run_setting_exits_2_before_making_the_output_dir(tmp_path, capsys, 
          "rounds of metrics"),
         (["egta", "--agents", 2, "--rounds", 2**61, "--pc", 0.5, "--alpha", 1, "--reps", 1],
          "rounds of metrics"),
+        # the task lists were built whole until memory ran out: a MemoryError traceback, exit 1
+        (["sweep", "--builders", 2, "--searchers", 2, "--rounds", 1, "--pc", 0.5, "--reps", 10**12],
+         "replicas"),
+        (["egta", "--agents", 2, "--rounds", 1, "--pc", 0.5, "--alpha", 1, "--reps", 10**12],
+         "replicas"),
     ],
     ids=["egta-reps-0", "sweep-pc-past-1", "egta-pc-past-1", "verify-negative-seed",
          "simulate-unallocatable-pools", "egta-unallocatable-pools", "sweep-unallocatable-series",
-         "egta-unallocatable-series"],
+         "egta-unallocatable-series", "sweep-huge-reps", "egta-huge-reps"],
 )
 def test_bad_input_exits_2_before_making_the_output_dir(tmp_path, capsys, argv, expected):
     out = tmp_path / "out"
@@ -446,6 +454,13 @@ def test_bad_input_exits_2_before_making_the_output_dir(tmp_path, capsys, argv, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
     assert not out.exists()
+
+
+def test_every_kernel_field_is_a_setting_of_the_simulating_commands():
+    # an output setting lives with the command that writes the output: record_rounds, a
+    # SimConfig field only simulate set, made the round branch on it
+    kernel = {f.name for f in fields(SimConfig) if f.name != "ga"} | {f.name for f in fields(GAConfig)}
+    assert kernel <= set(cli._FIELDS.values())
 
 
 @pytest.mark.parametrize("command", ["sweep", "egta"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -254,6 +255,16 @@ def test_no_builder_row_equals_simulating_the_profile(m, p_c, seed):
     )
     # repr also tells 0.0 from -0.0, which print differently in hpt.csv
     assert repr(estimate_hpt(m, template, reps=reps).row(0)) == repr(simulated)
+
+
+def test_all_builder_row_is_the_same_at_every_p_c():
+    # with no searchers each block holds its builder's one bundle, so no conflict reaches a
+    # payoff, and the replicas draw the same numbers at any p_c
+    low, high = (estimate_hpt(3, tiny_template(p_c), reps=2) for p_c in (0.1, 0.9))
+    for field in dataclasses.fields(HptRow):
+        assert repr(getattr(low.row(3), field.name)) == repr(getattr(high.row(3), field.name)), field.name
+    # a profile with searchers does see p_c
+    assert low.row(1) != high.row(1)
 
 
 def test_hpt_rejects_duplicate_profiles():

@@ -9,6 +9,7 @@ import pytest
 
 import pbsgame.auction
 import pbsgame.builder
+import pbsgame.cli
 import pbsgame.simulation
 import pbsgame.sweep
 
@@ -110,14 +111,12 @@ def test_deterministic_replay():
     records = []
     metrics = []
     for _ in range(2):
-        sim = Simulation(small_config(rounds=100, record_rounds=True))
-        sim.run()
-        records.append(sim.records)
+        sim = Simulation(small_config(rounds=100))
+        records.append([sim.run_round() for _ in range(100)])
         metrics.append(sim.metrics)
     for r1, r2 in zip(records[0], records[1]):
-        assert r1.alphas == r2.alphas
-        assert r1.gammas == r2.gammas
-        assert r1.betas == r2.betas
+        # the played codes: every decoded alpha, gamma and beta follows from them
+        assert r1.codes.tolist() == r2.codes.tolist()
         assert r1.winner == r2.winner
         assert r1.payment == r2.payment
         assert r1.payoffs == r2.payoffs
@@ -216,15 +215,6 @@ def test_conservation_guard_scales_with_block_value():
     assert sim.max_residual > 1e-12
 
 
-def test_records_only_when_enabled():
-    sim = Simulation(small_config(rounds=10))
-    sim.run()
-    assert sim.records == []
-    sim = Simulation(small_config(rounds=10, record_rounds=True))
-    sim.run()
-    assert len(sim.records) == 10
-
-
 def test_summarize_keys():
     sim = Simulation(small_config(rounds=30))
     sim.run()
@@ -233,14 +223,18 @@ def test_summarize_keys():
         assert metric in summary
 
 
-def test_round_decodes_no_genome_unless_recording(monkeypatch):
+def test_a_round_decodes_no_genome(monkeypatch, tmp_path):
     calls = []
-    for name in ("decode_builder", "decode_searcher"):
-        monkeypatch.setattr(f"pbsgame.simulation.{name}", lambda c, name=name: calls.append(name))
+    spied = [(pbsgame.simulation, "decode_builder"), (pbsgame.simulation, "decode_searcher"),
+             (pbsgame.cli, "decode_searcher")]
+    for module, name in spied:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda c, name=name, real=real: calls.append(name) or real(c))
     Simulation(small_config(rounds=20)).run()
     assert calls == []
-    # the spies are live: a recording round decodes its searchers' codes for the record
-    Simulation(small_config(rounds=1, record_rounds=True)).run()
+    # the spies are live: simulate decodes its searchers' codes as it writes rounds.csv
+    argv = ["simulate", "--builders", 3, "--searchers", 3, "--rounds", 1, "--record-rounds", "-o", tmp_path]
+    assert pbsgame.cli.main([str(a) for a in argv]) == 0
     assert calls == ["decode_searcher"] * 3
 
 

@@ -2,8 +2,8 @@
 
 Each example runs one small simulation and its scalar transcription from the
 same seed, and asserts that every metric series, every pool's genomes and
-fitness, the round records and the final generator state are equal (NaN
-equal to NaN). The lockstep property does the same for every replica of a
+fitness, the records the rounds return, decoded, and the final generator state
+are equal (NaN equal to NaN). The lockstep property does the same for every replica of a
 batch stepped together, a third reads the metrics at drawn rounds of a run,
 whose consensus series are filled on read, and the replica-runner property checks that batching
 tasks by shape returns, in task order, what one simulation per task returns.
@@ -11,6 +11,7 @@ A further property checks one GA step on its own.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbsgame.simulation
+from pbsgame.codec import BUILDER_ALPHAS, bid_ratio, decode_searcher
 from pbsgame.evolution import GAConfig, StrategyPool, evolve
 from pbsgame.simulation import LOG_FLUSH, Lockstep, MetricsSeries, SimConfig, Simulation, summarize
 from pbsgame.sweep import replica_rng, run_replicas
@@ -63,11 +65,37 @@ def configs(draw):
         ga=ga,
         capacity=draw(st.one_of(st.none(), st.integers(1, n))),
         seed=draw(st.integers(0, 2**32 - 1)),
-        record_rounds=draw(st.booleans()),
     )
 
 
-def assert_follows_the_reference(sim, config):
+@contextmanager
+def returned_records():
+    """Each replica's records, as the ``Lockstep.run_round`` calls under the block return
+    them: ``rounds[r]`` lists those of the replica in row ``r``."""
+    rounds = []
+    run_round = Lockstep.run_round
+
+    def spy(self, sims):
+        rounds.append(run_round(self, sims))
+        return rounds[-1]
+
+    with mock.patch.object(Lockstep, "run_round", spy):
+        yield rounds
+    rounds[:] = zip(*rounds)
+
+
+def decoded(record, config):
+    """A ``RoundRecord`` as the reference keeps it: its codes decoded, betas by the scalar
+    ``bid_ratio``."""
+    codes = record.codes.tolist()
+    alphas = {j: BUILDER_ALPHAS[codes[j]] for j in config.builder_ids}
+    gammas = {i: decode_searcher(codes[i]) for i in config.searcher_ids}
+    betas = {i: tuple(bid_ratio(gammas[i], alpha) for alpha in alphas.values()) for i in gammas}
+    return (record.index, alphas, gammas, betas, record.winner, record.payment,
+            tuple(record.payoffs), record.residual)
+
+
+def assert_follows_the_reference(sim, config, records):
     reference = ReferenceRun(config).run()
     assert FIELDS == MetricsSeries.FIELDS
     for name in FIELDS:
@@ -77,11 +105,7 @@ def assert_follows_the_reference(sim, config):
         for pool in sim.snapshot()["pools"]
     ]
     assert same(pools, reference.pools)
-    records = [
-        (r.index, r.alphas, r.gammas, r.betas, r.winner, r.payment, tuple(r.payoffs), r.residual)
-        for r in sim.records
-    ]
-    assert same(records, reference.records)
+    assert same([decoded(record, config) for record in records], reference.records)
     assert sim.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
@@ -89,8 +113,9 @@ def assert_follows_the_reference(sim, config):
 @given(configs())
 def test_simulation_follows_the_scalar_reference(config):
     sim = Simulation(config)
-    sim.run()
-    assert_follows_the_reference(sim, config)
+    with returned_records() as rounds:
+        sim.run()
+    assert_follows_the_reference(sim, config, rounds[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,9 +127,10 @@ def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, da
     ]
     lockstep = Lockstep(shape, replicas)
     sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
-    lockstep.run(sims)
-    for sim, config in zip(sims, configs):
-        assert_follows_the_reference(sim, config)
+    with returned_records() as rounds:
+        lockstep.run(sims)
+    for sim, config, records in zip(sims, configs, rounds):
+        assert_follows_the_reference(sim, config, records)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,9 +150,10 @@ def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush
         ]
         lockstep = Lockstep(shape, replicas)
         sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
-        step, finish = partial(lockstep.run_round, sims), partial(lockstep.run, sims)
+        # looked up at each step, so that ``returned_records`` sees the round
+        step, finish = lambda: lockstep.run_round(sims), partial(lockstep.run, sims)
     references = [ReferenceRun(config).run() for config in configs]
-    with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush):
+    with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush), returned_records() as rounds:
         for t in reads:
             while sims[0].round_index < t:
                 step()
@@ -134,8 +161,8 @@ def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush
                 for name in FIELDS:
                     assert same(getattr(sim.metrics, name), reference.series[name][:t]), (t, name)
         finish()
-    for sim, config in zip(sims, configs):
-        assert_follows_the_reference(sim, config)
+    for sim, config, records in zip(sims, configs, rounds):
+        assert_follows_the_reference(sim, config, records)
 
 
 @st.composite
