@@ -16,7 +16,7 @@ from .egta import (
     path_fixation_probability,
 )
 from .errors import CodecError, ConfigError, NumericalError
-from .evolution import GAConfig, StrategyPool, evolve, select_strategy, update_fitness
+from .evolution import GAConfig, evolve, select_strategy, update_fitness
 from .market import InteractionGraph, Scenario, draw_scenario
 from .simulation import MetricsSeries, RoundRecord, SimConfig, Simulation, cov
 from .sweep import SweepRow, sweep_conflict
@@ -41,7 +41,6 @@ __all__ = [
     "Settlement",
     "SimConfig",
     "Simulation",
-    "StrategyPool",
     "SweepRow",
     "alpharank",
     "bid_ratio",

@@ -97,8 +97,19 @@ _FIELDS = {
 }
 _GA_FIELDS = {f.name for f in fields(GAConfig)}
 _TYPES = {**get_type_hints(SimConfig), **get_type_hints(GAConfig)}
+
+
+def _integer(value) -> int:
+    """An integral number or numeral as an int: 7, "7", 4000.0 and "1e4" are; 2.9 is not."""
+    if isinstance(value, str) and not value.strip().lstrip("+-").isdigit():
+        value = float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 # the only optional field is capacity, which a file may also set to "none"
-_CONVERT = {int: int, float: float, int | None: lambda v: None if v in (None, "none") else int(v)}
+_CONVERT = {int: _integer, float: float, int | None: lambda v: None if v in (None, "none") else _integer(v)}
 _RUN_DEFAULTS = {"builders": 10, "searchers": 10, "rounds": 10000}
 _SIMULATE_DEFAULTS = {**_RUN_DEFAULTS, "pc": 0.8, "ma_window": 200, "snapshot_every": 1000}
 # simulate's output settings shape metrics.csv and pools.json only, so no SimConfig holds them
@@ -106,6 +117,8 @@ _SIMULATE_KEYS = (*_FIELDS, "ma_window", "snapshot_every")
 _GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
 # egta takes its role counts from --agents, so it has no builders or searchers setting
 _EGTA_KEYS = [key for key in _FIELDS if key not in ("builders", "searchers")]
+# egta's run sizes, applied only when it simulates
+_EGTA_RUN_DEFAULTS = {"agents": 10, "reps": 10}
 
 
 def _convert(key: str, value, convert):
@@ -197,8 +210,8 @@ def _fmt(value) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> Result:
     settings = _settings(args, _SIMULATE_DEFAULTS, _SIMULATE_KEYS)
-    window = _convert("ma_window", settings.pop("ma_window"), int)
-    every = _convert("snapshot_every", settings.pop("snapshot_every"), int)
+    window = _convert("ma_window", settings.pop("ma_window"), _integer)
+    every = _convert("snapshot_every", settings.pop("snapshot_every"), _integer)
     if window < 1:
         raise ConfigError(f"moving-average window must be >= 1, got {window}")
     if every < 0:
@@ -297,12 +310,19 @@ def cmd_egta(args: argparse.Namespace) -> Result:
 
     # (p_c cell, payoff table) pairs, the files, and the manifest's config block and seed
     if args.hpt_file:
+        # a run setting would select nothing: every p_c group of the file is ranked
+        given = [f"--{key.replace('_', '-')}" for key in ("config", *_EGTA_RUN_DEFAULTS, *_EGTA_KEYS)
+                 if getattr(args, key) is not None]
+        if given:
+            raise ConfigError(f"--hpt-file simulates nothing, so it takes no {' '.join(given)}")
         tables = _load_hpt_file(args.hpt_file)
         files = {}
-        # nothing is simulated: echo the table ranked, not the unused run settings
+        # nothing is simulated: echo the table ranked
         config = {"hpt_file": args.hpt_file, "pc": [p for p, _ in tables], "alpha_grid": alpha_values}
         seed = None
     else:
+        unset = {key: value for key, value in _EGTA_RUN_DEFAULTS.items() if getattr(args, key) is None}
+        vars(args).update(unset)
         # estimate_hpt sets each profile's counts; --agents gives the template's
         template, p_values, spec = _grid_config(args, _EGTA_KEYS, n_builders=args.agents, n_searchers=0)
         tables = [
@@ -332,7 +352,7 @@ def cmd_egta(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify_analytic(args: argparse.Namespace) -> Result:
-    mc_samples = _convert("mc_samples", args.mc_samples, lambda v: int(float(v)))
+    mc_samples = _convert("mc_samples", args.mc_samples, _integer)
     # numpy cannot size a float64 sample array beyond this many bytes
     most = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
     if not 2 <= mc_samples <= most:
@@ -400,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_egta = sub.add_parser("egta", help="meta-game payoff table and alpha-rank")
     _add_sim_flags(p_egta, _EGTA_KEYS)
     _add_common_flags(p_egta)
-    p_egta.add_argument("--agents", type=int, default=10, help="meta-game population size")
+    p_egta.add_argument("--agents", type=int, help="meta-game population size")
     p_egta.add_argument("--pc", help="p_c grid")
     p_egta.add_argument("--alpha", default="0.1:100:log30", help="ranking intensity grid")
-    p_egta.add_argument("--reps", type=int, default=10, help="simulations per profile")
+    p_egta.add_argument("--reps", type=int, help="simulations per profile")
     p_egta.add_argument(
         "--hpt-file",
         help="skip simulation and rank an existing payoff table CSV; "
-        "the simulation flags do not apply",
+        "a simulation flag or --config exits 2",
     )
     p_egta.set_defaults(func=cmd_egta)
 

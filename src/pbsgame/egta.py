@@ -40,6 +40,8 @@ class HeuristicPayoffTable:
     rows: tuple[HptRow, ...]
 
     def __post_init__(self):
+        if self.m < 2:
+            raise ConfigError(f"meta-game needs at least 2 agents, got {self.m}")
         seen = set()
         for row in self.rows:
             if row.n_building + row.n_sharing != self.m:

@@ -6,7 +6,8 @@ class ConfigError(ValueError):
 
 
 class CodecError(ValueError):
-    """Malformed chromosome bit string."""
+    """A genome code out of range for its width, or a bit string that is not whole 5-bit
+    segments (``codec``)."""
 
 
 class NumericalError(RuntimeError):

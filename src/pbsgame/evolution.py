@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import BUILDER_WIDTH, SEARCHER_WIDTH
-from .errors import CodecError, ConfigError
+from .errors import ConfigError
 
 POOL_SIZE = 20
 
@@ -33,38 +32,6 @@ class GAConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"GA {name} must be in [0, 1], got {value}")
-
-
-@dataclass(eq=False, frozen=True)
-class StrategyPool:
-    """One agent's strategies: ``width``-bit genome codes and their fitness. In a
-    ``Simulation`` both are views onto the agent's rows of its pool arrays, and the
-    temperature and learning rate are the ``SimConfig``'s. The fields cannot be
-    reassigned; the arrays' entries can."""
-
-    owner: int
-    width: int
-    codes: np.ndarray
-    fitness: np.ndarray
-    temperature: float = 2.0  # softmax selection temperature
-    learning_rate: float = 0.5  # step of the fitness moving average
-
-    def __post_init__(self):
-        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.int64))
-        object.__setattr__(self, "fitness", np.asarray(self.fitness, dtype=float))
-        if not self.codes.size or self.codes.ndim != 1 or self.fitness.shape != self.codes.shape:
-            raise ConfigError(f"a pool needs a non-empty row of codes, one fitness each, "
-                              f"got {self.codes.shape} and {self.fitness.shape}")
-        if self.width not in (BUILDER_WIDTH, SEARCHER_WIDTH) or np.any(self.codes >> self.width):
-            raise CodecError(f"codes must be non-negative {self.width}-bit integers, width 5 or 10")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ConfigError(f"learning rate must be in [0, 1], got {self.learning_rate}")
-
-    @property
-    def bits(self) -> list[str]:
-        return [format(code, f"0{self.width}b") for code in self.codes.tolist()]
 
 
 def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:
@@ -83,19 +50,23 @@ def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarr
     return np.minimum(picked, cumulative.shape[-1] - 1)
 
 
-def select_strategy(pool: StrategyPool, rng: np.random.Generator) -> int:
-    """Roulette-wheel draw from one ``rng.random`` double; returns the selected index."""
-    return int(roulette(pool.fitness, pool.temperature, np.array(rng.random())))
+def select_strategy(fitness: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+    """Roulette-wheel draw over one pool's fitness from one ``rng.random`` double; returns
+    the selected index."""
+    return int(roulette(fitness, temperature, np.array(rng.random())))
 
 
-def update_fitness(pool: StrategyPool, index: int, payoff: float) -> None:
-    """EMA update of the played strategy only: f <- (1 - eta) f + eta * payoff."""
-    eta = pool.learning_rate
-    pool.fitness[index] = (1.0 - eta) * pool.fitness[index] + eta * payoff
+def update_fitness(fitness: np.ndarray, index: int, payoff: float, learning_rate: float) -> None:
+    """EMA update of the played strategy only, in place: f <- (1 - eta) f + eta * payoff."""
+    fitness[index] = (1.0 - learning_rate) * fitness[index] + learning_rate * payoff
 
 
-def evolve(pool: StrategyPool, config: GAConfig, rng: np.random.Generator) -> None:
-    """One GA step, in place: eliminate the worst fraction, breed back to full size.
+def evolve(
+    codes: np.ndarray, fitness: np.ndarray, width: int, temperature: float, ga: GAConfig,
+    rng: np.random.Generator,
+) -> None:
+    """One GA step on one pool's ``width``-bit genome codes and their fitness, in place:
+    eliminate the worst fraction, breed back to full size.
 
     Elimination removes the lowest-fitness strategies (ties broken by lower
     index). Parents are drawn by softmax roulette from the survivors; each pair
@@ -103,27 +74,27 @@ def evolve(pool: StrategyPool, config: GAConfig, rng: np.random.Generator) -> No
     mean, each mutated bit-wise. A surplus offspring is dropped if the
     shortfall is odd. Survivors keep their order and the offspring follow.
     """
-    size, width = len(pool.codes), pool.width
+    size = len(codes)
     # keep at least one survivor so there is always a parent to breed from
-    n_drop = min(int(size * config.elimination), size - 1)
-    kept = np.sort(np.argsort(pool.fitness, kind="stable")[n_drop:])  # by (fitness, index)
-    codes, fitness = pool.codes[kept].tolist(), pool.fitness[kept].tolist()
-    cumulative = np.cumsum(_softmax(np.array(fitness), pool.temperature)).tolist()
-    last = len(codes) - 1
+    n_drop = min(int(size * ga.elimination), size - 1)
+    kept = np.sort(np.argsort(fitness, kind="stable")[n_drop:])  # by (fitness, index)
+    new_codes, new_fitness = codes[kept].tolist(), fitness[kept].tolist()
+    cumulative = np.cumsum(_softmax(fitness[kept], temperature)).tolist()
+    last = len(new_codes) - 1
     places = [1 << bit for bit in reversed(range(width))]  # string position -> code bit
-    while len(codes) < size:
+    while len(new_codes) < size:
         u_a, u_b = rng.random(2).tolist()
         a, b = min(bisect_right(cumulative, u_a), last), min(bisect_right(cumulative, u_b), last)
         # the first ``point`` bits (the high ones) come from one parent, the rest from the other
         low = (1 << width - int(rng.integers(1, width))) - 1
-        child_fitness = 0.5 * (fitness[a] + fitness[b])
-        for child in (codes[a] & ~low | codes[b] & low, codes[b] & ~low | codes[a] & low):
-            if len(codes) == size:
+        child_fitness = 0.5 * (new_fitness[a] + new_fitness[b])
+        for child in (new_codes[a] & ~low | new_codes[b] & low, new_codes[b] & ~low | new_codes[a] & low):
+            if len(new_codes) == size:
                 break
-            if config.mutation > 0:
+            if ga.mutation > 0:
                 flips = zip(places, rng.random(width).tolist())
-                child ^= sum(place for place, u in flips if u < config.mutation)
-            codes.append(child)
-            fitness.append(child_fitness)
-    pool.codes[:] = codes
-    pool.fitness[:] = fitness
+                child ^= sum(place for place, u in flips if u < ga.mutation)
+            new_codes.append(child)
+            new_fitness.append(child_fitness)
+    codes[:] = new_codes
+    fitness[:] = new_fitness

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, 
 from .codec import bid_ratios, random_codes
 from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # noqa: F401  probed
 from .errors import ConfigError, NumericalError
-from .evolution import POOL_SIZE, GAConfig, StrategyPool, evolve, roulette
+from .evolution import POOL_SIZE, GAConfig, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
 from .market import conflict_masks, draw_round, pair_indices
 from .market import draw_scenario  # noqa: F401  the benchmark's probes wrap this name
@@ -59,8 +59,8 @@ class SimConfig:
     rounds: int
     p_c: float
     value_rate: float = 10.0
-    temperature: float = StrategyPool.temperature
-    learning_rate: float = StrategyPool.learning_rate
+    temperature: float = 2.0  # softmax selection temperature
+    learning_rate: float = 0.5  # step of the fitness moving average
     ga: GAConfig = field(default_factory=GAConfig)
     capacity: int | None = None
     seed: int = 0
@@ -125,7 +125,8 @@ class RoundRecord:
 
 @dataclass
 class MetricsSeries:
-    """Per-round scalar series; NaN where a role is absent."""
+    """Per-round scalar series; NaN where a role is absent. ``FIELDS`` names them in field
+    order, the column order of ``Lockstep.series`` and metrics.csv."""
 
     avg_bid_ratio: list[float] = field(default_factory=list)
     avg_rebate_ratio: list[float] = field(default_factory=list)
@@ -136,16 +137,7 @@ class MetricsSeries:
     builder_reward: list[float] = field(default_factory=list)
     proposer_reward: list[float] = field(default_factory=list)
 
-    FIELDS = (
-        "avg_bid_ratio",
-        "avg_rebate_ratio",
-        "cov_alpha",
-        "cov_gamma1",
-        "cov_gamma2",
-        "searcher_reward",
-        "builder_reward",
-        "proposer_reward",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # set from the fields, below the class
     CONSENSUS = ("cov_alpha", "cov_gamma1", "cov_gamma2")  # filled on read
 
     def __len__(self) -> int:
@@ -153,6 +145,9 @@ class MetricsSeries:
 
     def row(self, t: int) -> tuple[float, ...]:
         return tuple(getattr(self, name)[t] for name in self.FIELDS)
+
+
+MetricsSeries.FIELDS = tuple(f.name for f in fields(MetricsSeries))
 
 
 def cov(values):
@@ -204,9 +199,9 @@ def _segment_covs(codes: np.ndarray) -> list[list[float]]:
 
 
 class Simulation:
-    """One replica: its config, RNG, pool rows and their per-agent views, and its metric
-    series. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its own when none
-    is given, else that of a batch, whose replicas step only together through
+    """One replica: its config, RNG, pool rows (``codes[a]`` and ``fitness[a]`` are agent
+    a's) and metric series. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its
+    own when none is given, else that of a batch, whose replicas step only together through
     ``Lockstep.run_round(sims)``."""
 
     def __init__(
@@ -224,10 +219,6 @@ class Simulation:
         self.codes, self.fitness = lockstep.codes[row], lockstep.fitness[row]
         widths = [BUILDER_WIDTH] * config.n_builders + [SEARCHER_WIDTH] * config.n_searchers
         self.codes[:] = [random_codes(w, POOL_SIZE, self.rng) for w in widths]
-        self.pools = tuple(
-            StrategyPool(a, w, self.codes[a], self.fitness[a], config.temperature, config.learning_rate)
-            for a, w in enumerate(widths)
-        )
         self.round_index = 0
         self.max_residual = 0.0
         # row [t]: round t's metrics, its consensus columns written for rounds < ``_filled``
@@ -243,17 +234,13 @@ class Simulation:
         return record
 
     def snapshot(self) -> dict:
-        return {
-            "round": self.round_index,
-            "pools": [
-                {
-                    "agent": pool.owner,
-                    "role": self.config.role_of(pool.owner),
-                    "strategies": [list(s) for s in zip(pool.bits, pool.fitness.tolist())],
-                }
-                for pool in self.pools
-            ],
-        }
+        """Every pool's strategies as ``[bits, fitness]``, each code read most-significant first."""
+        pools = []
+        for agent, (codes, fitness) in enumerate(zip(self.codes.tolist(), self.fitness.tolist())):
+            width = BUILDER_WIDTH if agent < self.config.n_builders else SEARCHER_WIDTH
+            strategies = [[format(code, f"0{width}b"), f] for code, f in zip(codes, fitness)]
+            pools.append({"agent": agent, "role": self.config.role_of(agent), "strategies": strategies})
+        return {"round": self.round_index, "pools": pools}
 
     @property
     def metrics(self) -> MetricsSeries:
@@ -406,7 +393,8 @@ class Lockstep:
                 sim._pool_covs = covs
         for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
             sim = sims[r]
-            evolve(sim.pools[agent], cfg.ga, sim.rng)
+            width = BUILDER_WIDTH if agent < n_b else SEARCHER_WIDTH
+            evolve(sim.codes[agent], sim.fitness[agent], width, cfg.temperature, cfg.ga, sim.rng)
             sim._log.append((t, agent, sim.codes[agent].copy()))
 
         # row t of every replica's series but for the consensus columns, which the fill writes

@@ -236,8 +236,8 @@ def test_two_builder_simulation_reproduces_expected_payoff():
         learning_rate=0.0, ga=GAConfig(trigger=0.0),
     )
     sim = Simulation(config)
-    for pool, bits in zip(sim.pools, (alpha1_bits, alpha2_bits, searcher_bits)):
-        pool.codes[:] = int(bits, 2)
+    for codes, bits in zip(sim.codes, (alpha1_bits, alpha2_bits, searcher_bits)):
+        codes[:] = int(bits, 2)
 
     rng = np.random.default_rng(99)
     graph = InteractionGraph.independent(3)

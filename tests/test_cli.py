@@ -203,8 +203,11 @@ def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
         ("0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
         ("0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
         ("0,2,,0.0,1\n1,1,nan,0.1,1\n2,0,0.2,,1\n", "non-finite payoff"),
+        # a table of fewer than 2 agents was ranked, nu 0.5/0.5, and the run exited 0
+        ("0,0,,,1\n", "at least 2 agents, got 0"),
+        ("0,1,,0.0,1\n1,0,0.2,,1\n", "at least 2 agents, got 1"),
     ],
-    ids=["duplicate-profile", "short-row", "nan-payoff"],
+    ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent"],
 )
 def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
     hpt_file = tmp_path / "hpt.csv"
@@ -361,6 +364,14 @@ def test_failing_verification_writes_its_report_and_exits_4(tmp_path, capsys, mo
         (["sweep", *SIM_ARGS], {"snapshot_every": 1}, "unknown keys ['snapshot_every']"),
         (["egta", "--agents", 2, "--rounds", 5], {"ma_window": 7}, "unknown keys ['ma_window']"),
         (["egta", "--agents", 2, "--rounds", 5], {"snapshot_every": 1}, "unknown keys ['snapshot_every']"),
+        # a fractional count was truncated: 2 rounds of 2 builders at capacity 1, echoed so
+        (["simulate"], {"rounds": 2.9, "builders": 2.5, "searchers": 2, "capacity": 1.7},
+         "bad builders 2.5: not an integer"),
+        (["simulate", "--builders", 2, "--searchers", 2, "--rounds", 5], {"capacity": 1.7},
+         "bad capacity 1.7"),
+        (["simulate", "--rounds", 5], {"ma_window": 7.5, "snapshot_every": 1.5, "seed": 0.5},
+         "bad ma_window 7.5"),
+        (["verify-analytic", "--mc-samples", "1000.7"], None, "bad mc_samples '1000.7'"),
     ],
     ids=["config-rounds-x", "config-list", "empty-pc-grid", "value-rate-inf",
          "negative-snapshot-period", "mc-samples-abc", "negative-jobs", "zero-jobs",
@@ -373,16 +384,18 @@ def test_failing_verification_writes_its_report_and_exits_4(tmp_path, capsys, mo
          "sweep-repeated-pc",
          "egta-repeated-pc", "egta-config-builders", "egta-config-searchers",
          "sweep-config-ma-window", "sweep-config-snapshot-every", "egta-config-ma-window",
-         "egta-config-snapshot-every"],
+         "egta-config-snapshot-every", "config-fractional-builders", "config-fractional-capacity",
+         "config-fractional-ma-window", "mc-samples-fractional"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, expected):
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", tmp_path / "config.json"]
-    assert run_cli(*argv, "-o", tmp_path) == 2
+    assert run_cli(*argv, "-o", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -512,6 +525,17 @@ def test_simulate_config_file_sets_its_output_settings(tmp_path):
     assert (manifest["config"]["ma_window"], manifest["config"]["snapshot_every"]) == (3, 10)
 
 
+def test_integral_numbers_set_integer_settings(tmp_path):
+    # a file's 4000.0 and a flag's 1e1 are whole numbers, and the manifest echoes them as ints
+    keys = ["builders", "searchers", "rounds", "capacity", "seed", "ma_window", "snapshot_every"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(zip(keys, [2.0, 2.0, 7.0, 3.0, 4000.0, 2.0, 5.0]))))
+    assert run_cli("simulate", "--config", cfg, "--rounds", "1e1", "-o", tmp_path / "out") == 0
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert [echo[key] for key in keys] == [2, 2, 10, 3, 4000, 2, 5]
+    assert all(type(echo[key]) is int for key in keys)
+
+
 def test_pools_json_equals_the_snapshots_of_a_run_stepped_by_hand(tmp_path):
     assert run_cli("simulate", *POOLS_ARGS, "--rounds", 50, "--snapshot-every", 25, "-o", tmp_path) == 0
     snapshots = json.loads((tmp_path / "pools.json").read_text())
@@ -559,18 +583,33 @@ def test_egta_rejects_bad_alpha_before_simulating(tmp_path, capsys, monkeypatch)
         assert not (tmp_path / "hpt.csv").exists()
 
 
-def test_egta_hpt_file_ignores_simulation_flags(tmp_path):
-    # nothing is simulated, so run-size flags are neither validated nor used
-    hpt_file = tmp_path / "hpt.csv"
-    hpt_file.write_text(
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # --pc selected nothing: every p_c group of the file was ranked, and the run exited 0
+        (["--rounds", 999, "--pc", 0.9, "--seed", 5, "--agents", 7, "--reps", 3, "--config", "missing.json"],
+         "takes no --config --agents --reps --rounds --pc --seed"),
+        (["--agents", 1, "--rounds", 0], "takes no --agents --rounds"),
+        (["--value-rate", 3, "--capacity", 1], "takes no --value-rate --capacity"),
+        (["--config", "config.json"], "takes no --config"),
+    ],
+    ids=["run-flags", "out-of-range-flags", "model-flags", "config-file"],
+)
+def test_egta_hpt_file_refuses_simulation_flags(tmp_path, capsys, monkeypatch, argv, expected):
+    # nothing is simulated, so a run setting in a flag or a file would select nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hpt.csv").write_text(
         "n_building,n_sharing,u_building,u_sharing,samples\n"
         "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n"
     )
-    egta = ["egta", "--hpt-file", hpt_file, "--alpha", "1,10"]
-    assert run_cli(*egta, "-o", tmp_path / "plain") == 0
-    assert run_cli(*egta, "--agents", 1, "--rounds", 0, "-o", tmp_path / "flagged") == 0
-    plain = (tmp_path / "plain" / "alpharank.csv").read_bytes()
-    assert (tmp_path / "flagged" / "alpharank.csv").read_bytes() == plain
+    (tmp_path / "config.json").write_text(json.dumps({"rounds": 5}))
+    egta = ["egta", "--hpt-file", "hpt.csv", "--alpha", "1,10"]
+    assert run_cli(*egta, *argv, "-o", "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+    assert not (tmp_path / "out").exists()
+    assert run_cli(*egta, "-o", "out") == 0
 
 
 def test_egta_pc_grid(tmp_path):

@@ -150,7 +150,12 @@ def test_hpt_validation():
         table.row(9)
     for payoff in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="non-finite payoff"):
-            HeuristicPayoffTable(m=1, rows=(HptRow(0, 1, None, payoff, 1),))
+            HeuristicPayoffTable(m=2, rows=(HptRow(0, 2, None, payoff, 1),))
+    # a table of fewer than 2 agents has no invasion to rank: alpha-rank gave it nu 0.5/0.5
+    for m in (0, 1):
+        rows = tuple(HptRow(k, m - k, 0.1 if k else None, 0.1 if k < m else None, 1) for k in range(m + 1))
+        with pytest.raises(ConfigError, match=f"at least 2 agents, got {m}"):
+            HeuristicPayoffTable(m=m, rows=rows)
 
 
 def test_stationary_distribution_direct():

@@ -145,7 +145,8 @@ def test_consensus_metrics_follow_every_ga_step(trigger):
     sim = Simulation(config)
 
     def fresh(agents, segment):
-        pools = [[segment_ints(bits)[segment] for bits in sim.pools[a].bits] for a in agents]
+        strategies = [pool["strategies"] for pool in sim.snapshot()["pools"]]
+        pools = [[segment_ints(bits)[segment] for bits, _ in strategies[a]] for a in agents]
         return sum(cov(ints) for ints in pools) / len(pools)
 
     for _ in range(config.rounds):

@@ -16,7 +16,7 @@ from pbsgame.auction import conservation_residual, distribute, run_auction, seco
 from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan, rank_offers
 from pbsgame.codec import bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
-from pbsgame.evolution import GAConfig, StrategyPool, evolve, roulette, select_strategy
+from pbsgame.evolution import GAConfig, evolve, roulette, select_strategy
 from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
 from pbsgame.simulation import Lockstep, SimConfig, Simulation
 from reference import given_scenario
@@ -126,12 +126,12 @@ def test_settlement_conserves_value(n_builders, n_searchers, p_c, capacity, seed
 
 @st.composite
 def equal_sized_pools(draw):
+    """1-6 pools of one size, each its fitness row and its temperature."""
     size = draw(st.integers(1, 20))
     fitness = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-10.0, 10.0))
     return [
-        StrategyPool(k, 5, [0] * size, [draw(fitness) for _ in range(size)],
-                     temperature=draw(st.floats(0.05, 10.0)))
-        for k in range(draw(st.integers(1, 6)))
+        (np.array([draw(fitness) for _ in range(size)]), draw(st.floats(0.05, 10.0)))
+        for _ in range(draw(st.integers(1, 6)))
     ]
 
 
@@ -181,8 +181,8 @@ def rounds(draw):
 def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     config, genomes, scenario = round_
     sim = Simulation(config)
-    for pool, bits in zip(sim.pools, genomes):
-        pool.codes[:] = int(bits, 2)
+    for codes, bits in zip(sim.codes, genomes):
+        codes[:] = int(bits, 2)
     scans, auctions, settled = [], [], []
 
     def scan_spy(*args):
@@ -298,18 +298,18 @@ def test_scan_equals_one_builder_greedy_across_mask_words(instance):
 @settings(max_examples=200, deadline=None)
 @given(pools=equal_sized_pools(), seed=st.integers(0, 2**32 - 1))
 def test_batched_selection_equals_scalar_draws(pools, seed):
-    fitness = np.array([pool.fitness for pool in pools])
-    temperatures = np.array([[pool.temperature] for pool in pools])
+    fitness = np.array([row for row, _ in pools])
+    temperatures = np.array([[temperature] for _, temperature in pools])
     batched = roulette(fitness, temperatures, np.random.default_rng(seed).random(len(pools))).tolist()
     rng = np.random.default_rng(seed)
     scalar = []
-    for pool in pools:  # one pool's softmax and one scalar draw at a time
-        weights = np.exp((pool.fitness - pool.fitness.max()) / pool.temperature)
+    for row, temperature in pools:  # one pool's softmax and one scalar draw at a time
+        weights = np.exp((row - row.max()) / temperature)
         cumulative = np.cumsum(weights / weights.sum())
         index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        scalar.append(min(index, len(pool.codes) - 1))
+        scalar.append(min(index, len(row) - 1))
     assert batched == scalar
-    assert select_strategy(pools[0], np.random.default_rng(seed)) == batched[0]
+    assert select_strategy(*pools[0], np.random.default_rng(seed)) == batched[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,13 +335,14 @@ def test_vectorised_conflict_draw_equals_double_loop(n, p_c, seed):
 
 @st.composite
 def ga_steps(draw):
-    """A pool with tie-prone fitness, a GA config and a seed."""
+    """A pool's codes of one width and their tie-prone fitness, the width, a GA config
+    and a seed."""
     width = draw(st.sampled_from([5, 10]))
     fitness = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-10.0, 10.0))
     bits = st.text("01", min_size=width, max_size=width)
     size = draw(st.integers(1, 20))
-    codes = [int(draw(bits), 2) for _ in range(size)]
-    pool = StrategyPool(0, width, codes, [draw(fitness) for _ in range(size)])
+    codes = np.array([int(draw(bits), 2) for _ in range(size)])
+    pool = codes, np.array([draw(fitness) for _ in range(size)]), width
     ga = GAConfig(trigger=1.0, elimination=draw(st.floats(0.0, 1.0)), mutation=draw(st.floats(0.0, 1.0)))
     return pool, ga, draw(st.integers(0, 2**32 - 1))
 
@@ -349,19 +350,18 @@ def ga_steps(draw):
 @settings(max_examples=200, deadline=None)
 @given(ga_steps())
 def test_evolve_keeps_shape_and_the_top_strategies(step):
-    pool, ga, seed = step
-    codes, fitness = pool.codes.tolist(), pool.fitness.tolist()
-    size, width = len(codes), pool.width
-    evolve(pool, ga, np.random.default_rng(seed))
-    assert len(pool.codes) == len(pool.fitness) == size
-    assert all(len(bits) == width for bits in pool.bits)
-    assert 0 <= pool.codes.min() and pool.codes.max() < 2**width
+    (pool_codes, pool_fitness, width), ga, seed = step
+    codes, fitness = pool_codes.tolist(), pool_fitness.tolist()
+    size = len(codes)
+    evolve(pool_codes, pool_fitness, width, 2.0, ga, np.random.default_rng(seed))
+    assert len(pool_codes) == len(pool_fitness) == size
+    assert 0 <= pool_codes.min() and pool_codes.max() < 2**width
     # the worst fraction by (fitness, index) goes, always leaving one survivor,
     # and the survivors keep their order at the front of the pool
     n_drop = min(int(size * ga.elimination), size - 1)
     kept = sorted(sorted(range(size), key=lambda k: (fitness[k], k))[n_drop:])
-    assert pool.codes[: len(kept)].tolist() == [codes[k] for k in kept]
-    assert pool.fitness[: len(kept)].tolist() == [fitness[k] for k in kept]
+    assert pool_codes[: len(kept)].tolist() == [codes[k] for k in kept]
+    assert pool_fitness[: len(kept)].tolist() == [fitness[k] for k in kept]
 
 
 @settings(max_examples=200, deadline=None)

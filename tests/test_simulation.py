@@ -57,18 +57,6 @@ def test_cov_of_rows_equals_cov_of_each_row():
     assert cov(rows).tolist() == [cov(row) for row in rows]
 
 
-def test_pools_are_views_of_the_simulation_arrays():
-    sim = Simulation(small_config(rounds=5, ga=GAConfig(trigger=1.0)))
-    sim.pools[4].codes[3] = 0b1010001010
-    sim.pools[4].fitness[3] = 2.5
-    assert (sim.codes[4, 3], sim.fitness[4, 3]) == (0b1010001010, 2.5)
-    sim.run()  # every pool is rebuilt by the GA each round, in place
-    for agent, pool in enumerate(sim.pools):
-        assert np.shares_memory(pool.codes, sim.codes[agent])
-        assert np.shares_memory(pool.fitness, sim.fitness[agent])
-    assert isinstance(sim.pools, tuple)  # a pool is written, never replaced
-
-
 def test_moving_average_window_and_purity():
     series = [1.0, 2.0, 3.0, 4.0, 5.0]
     ma = moving_average(series, 2)
@@ -147,10 +135,10 @@ def test_no_builders_all_payoffs_zero():
     assert all(v == 0.0 for v in sim.metrics.proposer_reward)
 
 
-def freeze(pool, bits):
-    """Every strategy of the pool becomes ``bits``; a zero learning rate in the config
-    keeps its fitness from learning."""
-    pool.codes[:] = int(bits, 2)
+def freeze(codes, bits):
+    """Every strategy of a pool's codes row becomes ``bits``; a zero learning rate in the
+    config keeps its fitness from learning."""
+    codes[:] = int(bits, 2)
 
 
 def test_single_builder_single_searcher_matches_settlement_formula():
@@ -166,8 +154,8 @@ def test_single_builder_single_searcher_matches_settlement_formula():
         ga=GAConfig(trigger=0.0),
     )
     sim = Simulation(config)
-    freeze(sim.pools[0], "10100")  # alpha = 20/31
-    freeze(sim.pools[1], "1010001010")
+    freeze(sim.codes[0], "10100")  # alpha = 20/31
+    freeze(sim.codes[1], "1010001010")
     alpha = 20 / 31
     beta = bid_ratio(decode_searcher(int("1010001010", 2)), alpha)
     scenario = Scenario(values=(0.2, 0.1), graph=InteractionGraph.independent(2))
@@ -354,10 +342,19 @@ def test_lockstep_takes_one_shape_and_steps_its_replicas_together():
 
 
 def test_pool_settings_are_the_configs_and_read_only():
-    sim = Simulation(small_config(temperature=0.5, learning_rate=0.25))
-    assert {(pool.temperature, pool.learning_rate) for pool in sim.pools} == {(0.5, 0.25)}
+    # each agent's played fitness moves toward its payoff by exactly the config's learning
+    # rate; fitness above every payoff makes each played entry, and only it, change
+    sim = Simulation(small_config(learning_rate=0.25, ga=GAConfig(trigger=0.0)))
+    sim.fitness[:] = 1 + np.arange(sim.fitness.size).reshape(sim.fitness.shape) / 8
+    before = sim.fitness.copy()
+    record = sim.run_round()
+    agents, played = np.nonzero(sim.fitness != before)
+    assert agents.tolist() == list(range(sim.config.n_agents))
+    assert sim.codes[agents, played].tolist() == record.codes.tolist()
+    after = [0.75 * f + 0.25 * payoff for f, payoff in zip(before[agents, played], record.payoffs)]
+    assert sim.fitness[agents, played].tolist() == after
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sim.pools[0].learning_rate = 0.0
+        sim.config.learning_rate = 0.0
 
 
 def test_configs_are_hashable_and_equal_configs_hash_equal():

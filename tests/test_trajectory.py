@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import pbsgame.simulation
 from pbsgame.codec import BUILDER_ALPHAS, bid_ratio, decode_searcher
-from pbsgame.evolution import GAConfig, StrategyPool, evolve
+from pbsgame.evolution import GAConfig, evolve
 from pbsgame.simulation import LOG_FLUSH, Lockstep, MetricsSeries, SimConfig, Simulation, summarize
 from pbsgame.sweep import replica_rng, run_replicas
 from reference import FIELDS, ReferenceRun
@@ -219,13 +219,14 @@ def ga_steps(draw):
 @given(ga_steps())
 def test_array_ga_step_equals_the_string_ga(step):
     strategies, temperature, elimination, mutation, seed = step
-    codes = [int(bits, 2) for bits, _ in strategies]
+    codes = np.array([int(bits, 2) for bits, _ in strategies])
+    fitness = np.array([f for _, f in strategies])
     width = len(strategies[0][0])
-    pool = StrategyPool(0, width, codes, [f for _, f in strategies], temperature=temperature)
     rng = np.random.default_rng(seed)
-    evolve(pool, GAConfig(trigger=1.0, elimination=elimination, mutation=mutation), rng)
+    ga = GAConfig(trigger=1.0, elimination=elimination, mutation=mutation)
+    evolve(codes, fitness, width, temperature, ga, rng)
     reference_rng = np.random.default_rng(seed)
     expected = string_evolve(strategies, temperature, elimination, mutation, reference_rng)
-    assert pool.bits == [bits for bits, _ in expected]
-    assert pool.fitness.tolist() == [f for _, f in expected]
+    assert [format(code, f"0{width}b") for code in codes.tolist()] == [bits for bits, _ in expected]
+    assert fitness.tolist() == [f for _, f in expected]
     assert rng.bit_generator.state == reference_rng.bit_generator.state
