@@ -162,17 +162,21 @@ def _sim_config(settings: dict, **extra) -> SimConfig:
     return SimConfig(**sim, ga=GAConfig(**ga))
 
 
+def _distinct_grid(key: str, spec) -> list[float]:
+    """The grid ``spec`` gives, refusing a repeated value: each value keys its own output rows."""
+    grid = _convert(key, spec, lambda value: parse_grid(str(value)))
+    if repeated := sorted(value for value, count in Counter(grid).items() if count > 1):
+        raise ConfigError(f"bad {key} {spec!r}: repeated {_FIELDS.get(key, key)} values {repeated}")
+    return grid
+
+
 def _grid_config(args, keys=tuple(_FIELDS), **extra) -> tuple[SimConfig, list[float], object]:
     """sweep and egta: the config at the first p_c of the grid, the grid, and its spec."""
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     settings = _settings(args, _GRID_DEFAULTS, keys)
     spec = settings.pop("pc")
-    grid = _convert("pc", spec, lambda value: parse_grid(str(value)))
-    # each p_c keys its own rows in sweep.csv and hpt.csv
-    repeated = sorted(p for p, count in Counter(grid).items() if count > 1)
-    if repeated:
-        raise ConfigError(f"bad pc {spec!r}: repeated p_c values {repeated}")
+    grid = _distinct_grid("pc", spec)
     configs = [_sim_config(settings, p_c=p, **extra) for p in grid]  # each checked before any run
     return configs[0], grid, spec
 
@@ -304,7 +308,7 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
 
 
 def cmd_egta(args: argparse.Namespace) -> Result:
-    alpha_values = parse_grid(args.alpha)
+    alpha_values = _distinct_grid("alpha", args.alpha)
     if not all(0 < alpha < math.inf for alpha in alpha_values):
         raise ConfigError(f"ranking intensity must be positive and finite, got {args.alpha}")
 

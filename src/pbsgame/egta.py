@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import Lockstep, SimConfig
+from .simulation import Lockstep, SimConfig, _mean
 from .sweep import MAX_REPLICAS, run_replicas
 
 STRATEGY_NAMES = ("building", "sharing")
@@ -44,14 +44,16 @@ class HeuristicPayoffTable:
             raise ConfigError(f"meta-game needs at least 2 agents, got {self.m}")
         seen = set()
         for row in self.rows:
+            profile = f"profile ({row.n_building}, {row.n_sharing})"
             if row.n_building + row.n_sharing != self.m:
-                raise ConfigError(
-                    f"profile ({row.n_building}, {row.n_sharing}) does not sum to {self.m}"
-                )
+                raise ConfigError(f"{profile} does not sum to {self.m}")
             if not all(math.isfinite(u) for u in (row.u_building, row.u_sharing) if u is not None):
-                raise ConfigError(
-                    f"profile ({row.n_building}, {row.n_sharing}) has a non-finite payoff"
-                )
+                raise ConfigError(f"{profile} has a non-finite payoff")
+            if (row.n_building == 0 and row.u_building is not None
+                    or row.n_sharing == 0 and row.u_sharing is not None):
+                raise ConfigError(f"{profile} has a payoff for a role no agent plays")
+            if row.samples < 0:
+                raise ConfigError(f"{profile} has {row.samples} samples, fewer than 0")
             if row.n_building in seen:
                 raise ConfigError(f"payoff table has two profiles with {row.n_building} builders")
             seen.add(row.n_building)
@@ -79,7 +81,7 @@ def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> Heuri
         raise ConfigError(f"meta-game needs at least 2 agents, got {m}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    Lockstep(replace(template, n_builders=m, n_searchers=0), 1)  # a profile too large to hold ends here
+    Lockstep([replace(template, n_builders=m, n_searchers=0)])  # a profile too large to hold ends here
     if m * reps > MAX_REPLICAS:
         raise ConfigError(f"{m} profiles x {reps} reps is more than {MAX_REPLICAS} replicas")
     tasks = [
@@ -96,8 +98,8 @@ def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> Heuri
             HptRow(
                 n_building=n1,
                 n_sharing=m - n1,
-                u_building=float(np.mean([s["builder_reward"] for s in block])),
-                u_sharing=None if n1 == m else float(np.mean([s["searcher_reward"] for s in block])),
+                u_building=_mean([s["builder_reward"] for s in block]),
+                u_sharing=None if n1 == m else _mean([s["searcher_reward"] for s in block]),
                 samples=reps,
                 max_residual=max(s["max_residual"] for s in block),
             )

@@ -8,12 +8,12 @@ second-price auction, only the winner's block is built and settled, and
 realized payoffs feed back into strategy fitness. Occasionally a pool is
 rebuilt by the GA.
 
-``Lockstep`` plays R replicas of one shape through each round together, on
-``(R, agents, POOL_SIZE)`` arrays of genome codes and fitness; a
-``Simulation`` is one replica, and one built alone has a ``Lockstep`` of
-one. Every replica owns a single RNG and makes the same calls in the same
-order however many replicas step with it, so a (config, seed) pair
-reproduces bit-identical results.
+``Lockstep`` owns R replicas of one shape, on ``(R, agents, POOL_SIZE)`` arrays
+of genome codes and fitness, with all their round state, and plays each round
+of them together; a ``Simulation`` views one row, and one built alone is the
+one replica of its own ``Lockstep``. Every replica owns a single RNG and makes
+the same calls in the same order however many replicas step with it, so a
+(config, seed) pair reproduces bit-identical results.
 
 No round reads the pool consensus (the ``cov_*`` series), so a round only logs the
 codes each GA step leaves; ``Simulation.metrics`` fills the series when read.
@@ -199,39 +199,23 @@ def _segment_covs(codes: np.ndarray) -> list[list[float]]:
 
 
 class Simulation:
-    """One replica: its config, RNG, pool rows (``codes[a]`` and ``fitness[a]`` are agent
-    a's) and metric series. Its rows are row ``row`` of a ``Lockstep``'s arrays: one of its
-    own when none is given, else that of a batch, whose replicas step only together through
-    ``Lockstep.run_round(sims)``."""
+    """One replica, a view of row r of a ``Lockstep``: its config, RNG and pool rows (``codes[a]``
+    and ``fitness[a]`` are agent a's). Stepping a batch's replica steps the whole batch."""
 
-    def __init__(
-        self, config: SimConfig, rng: np.random.Generator | None = None,
-        lockstep: Lockstep | None = None, row: int = 0,
-    ):
-        if lockstep is None:
-            lockstep = Lockstep(config, 1)
-        elif config.shape != lockstep.config.shape:
-            raise ConfigError("lockstep replicas must differ in p_c and seed only")
-        self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self._lockstep, self._row = lockstep, row
-        # row [a]: agent a's genome codes and their fitness
-        self.codes, self.fitness = lockstep.codes[row], lockstep.fitness[row]
-        widths = [BUILDER_WIDTH] * config.n_builders + [SEARCHER_WIDTH] * config.n_searchers
-        self.codes[:] = [random_codes(w, POOL_SIZE, self.rng) for w in widths]
-        self.round_index = 0
-        self.max_residual = 0.0
-        # row [t]: round t's metrics, its consensus columns written for rounds < ``_filled``
-        self._series, self._filled = lockstep.series[row], 0
-        # ``_segment_covs`` of every pool as of the last fill (the first is the first
-        # round's), and each GA step since, as (round, agent, codes)
-        self._pool_covs: list[float] | None = None
-        self._log: list[tuple[int, int, np.ndarray]] = []
+    def __new__(cls, config: SimConfig, rng: np.random.Generator | None = None) -> Simulation:
+        return Lockstep([config], None if rng is None else [rng]).replicas[0]
+
+    @property
+    def round_index(self) -> int:
+        return self._lockstep.round_index
+
+    @property
+    def max_residual(self) -> float:
+        return self._lockstep.max_residual[self._row]
 
     def run_round(self) -> RoundRecord:
-        """Play one round, drawn from the owned RNG."""
-        (record,) = self._lockstep.run_round([self])
-        return record
+        """Play one round of the batch, drawn from each replica's RNG; returns this one's record."""
+        return self._lockstep.run_round()[self._row]
 
     def snapshot(self) -> dict:
         """Every pool's strategies as ``[bits, fitness]``, each code read most-significant first."""
@@ -245,54 +229,34 @@ class Simulation:
     @property
     def metrics(self) -> MetricsSeries:
         """Every series up to ``round_index``, as lists of Python floats."""
-        self._fill_consensus()
-        return MetricsSeries(*self._series[: self.round_index].T.tolist())
-
-    def _fill_consensus(self) -> None:
-        """Fill the consensus columns to ``round_index``: one ``cov`` over the logged pools,
-        then each role's ``_means`` after each step; a round takes those after its last."""
-        start, n_b = self._filled, self.config.n_builders
-        if start == self.round_index:
-            return
-        states, rounds = [self._pool_covs], [t for t, _, _ in self._log]
-        if self._log:
-            pairs = _segment_covs(np.array([codes for _, _, codes in self._log]))
-            for (_, agent, _), pair in zip(self._log, pairs):
-                states.append(list(states[-1]))
-                states[-1][2 * agent : 2 * agent + 2] = pair
-            self._log.clear()
-        # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
-        covs = np.array(states)
-        means = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
-        latest = np.searchsorted(rounds, np.arange(start, self.round_index), side="right")
-        self._series[start : self.round_index, 2:5] = means[latest]  # the ``CONSENSUS`` columns
-        self._filled = self.round_index
-        self._pool_covs = states[-1]
+        self._lockstep._fill_consensus(self._row)
+        return MetricsSeries(*self._lockstep.series[self._row, : self.round_index].T.tolist())
 
     def run(self) -> MetricsSeries:
-        """Play the rounds left until ``config.rounds``."""
-        self._lockstep.run([self])
+        """Play the batch's rounds left until ``config.rounds``."""
+        self._lockstep.run()
         return self.metrics
 
 
 class Lockstep:
-    """The pool arrays and metric series of R replicas of one ``SimConfig.shape`` and the
-    round that plays them all at once.
+    """R replicas of one ``SimConfig.shape``, all their round state, and the round that
+    plays them all at once.
 
     Pool state is two ``(R, agents, POOL_SIZE)`` arrays, genome codes and fitness, and the
-    series one ``(R, rounds, 8)`` float64 array in ``MetricsSeries.FIELDS`` order; the
-    replica built with ``row=r`` owns rows ``r``. Each replica's generator makes exactly
-    the calls a lone replica makes, in the same order: a per-replica loop draws values,
-    pairs and selection uniforms, then runs the greedy scans, the auction (whose tie draw
-    it is), the settlement and its guard, and draws the GA triggers; the triggered GA
-    steps follow, each logged by its replica. Selection, bids, offer ranking, the fitness
-    update and the per-round metrics run once per round on the stacked arrays, each row
-    reduced on its own; the first round takes every pool's CoV, batched over replicas.
+    series one ``(R, rounds, 8)`` float64 array in ``MetricsSeries.FIELDS`` order. Row r's
+    generator is ``rngs[r]``, else one seeded from its config, and makes exactly the calls a
+    lone replica's makes, in the same order: the pools, drawn in row order; each round the
+    values, pairs and selection uniforms, the auction's tie draw and the GA triggers; then
+    the triggered GA steps. Selection, bids, offer ranking, the fitness update and the
+    metric means run once per round on the stacked arrays, each row reduced on its own.
     Each round returns every replica's ``RoundRecord``, keeps none and decodes no genome.
     """
 
-    def __init__(self, config: SimConfig, size: int):
-        self.config = config
+    def __init__(self, configs: Sequence[SimConfig], rngs: Sequence[np.random.Generator] | None = None):
+        self.config = config = configs[0]
+        if any(other.shape != config.shape for other in configs):
+            raise ConfigError("lockstep replicas must differ in p_c and seed only")
+        size = len(configs)
         n, n_b, n_s = config.n_agents, config.n_builders, config.n_searchers
         try:
             self.series = np.empty((size, config.rounds, len(MetricsSeries.FIELDS)))
@@ -314,23 +278,37 @@ class Lockstep:
         except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
             raise ConfigError(f"cannot hold {config.rounds} rounds of metrics of {n} agents: {exc}") from exc
         self._bits = [1 << a for a in range(n)]
+        self._configs = list(configs)
+        self._rngs = list(rngs) if rngs is not None else [np.random.default_rng(c.seed) for c in configs]
+        widths = [BUILDER_WIDTH] * n_b + [SEARCHER_WIDTH] * n_s
+        self.codes[:] = [[random_codes(w, POOL_SIZE, rng) for w in widths] for rng in self._rngs]
+        self.round_index, self.max_residual = 0, [0.0] * size
+        # per row: how many rounds' consensus columns are written, ``_segment_covs`` of every
+        # pool as of the last fill (the first round's first), and each GA step since
+        self._filled, self._pool_covs = [0] * size, []
+        self._logs: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(size)]
 
-    def run_round(self, sims: Sequence[Simulation]) -> list[RoundRecord]:
-        """Play one round of every replica, ``sims[r]`` being the one built with ``row=r``.
-        Returns each replica's ``RoundRecord``."""
-        cfg, size = self.config, len(self.codes)
+    @property
+    def replicas(self) -> list[Simulation]:
+        """A new view of each row, in row order. Views hold the lockstep and it holds none, so
+        no reference cycle keeps a finished batch's arrays alive until a full collection."""
+        views = [object.__new__(Simulation) for _ in self._rngs]
+        for r, sim in enumerate(views):  # rows [a] of codes and fitness: agent a's pool
+            sim.config, sim.rng, sim._lockstep, sim._row = self._configs[r], self._rngs[r], self, r
+            sim.codes, sim.fitness = self.codes[r], self.fitness[r]
+        return views
+
+    def run_round(self) -> list[RoundRecord]:
+        """Play one round of every replica; returns each replica's ``RoundRecord``, in row order."""
+        cfg, size, t = self.config, len(self._rngs), self.round_index
         n, n_b = cfg.n_agents, cfg.n_builders
-        t = sims[0].round_index if sims else 0
-        placed = [(s._lockstep, s._row, s.round_index) for s in sims]
-        if placed != [(self, r, t) for r in range(size)]:
-            raise ConfigError("the replicas of a lockstep step together, in row order")
         if t >= cfg.rounds:
             raise ConfigError(f"all {cfg.rounds} rounds are played")
         values, uniforms = np.empty((2, size, n))
         pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
-        for r, sim in enumerate(sims):
-            values[r], pairs[r, :-1] = draw_round(n, sim.config.p_c, cfg.value_rate, sim.rng)
-            uniforms[r] = sim.rng.random(n)
+        for r, (config, rng) in enumerate(zip(self._configs, self._rngs)):
+            values[r], pairs[r, :-1] = draw_round(n, config.p_c, cfg.value_rate, rng)
+            uniforms[r] = rng.random(n)
         masks = conflict_masks(pairs[:, self._pair_at])
 
         # strategy selection, one softmax draw per agent
@@ -360,7 +338,7 @@ class Lockstep:
             )
         records = []
         triggers = np.empty((size, n))
-        for r, sim in enumerate(sims):
+        for r, rng in enumerate(self._rngs):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
             if n_b > 0:
                 owners, bids, lengths, bundle_masks, rebates, worths = next(offers)
@@ -368,7 +346,7 @@ class Lockstep:
                     greedy_scan(*row, bundle_masks, self._bits, cfg.capacity)
                     for row in zip(owners, bids, lengths)
                 ]
-                winner, payment = second_price([total for _, total in scans], sim.rng)
+                winner, payment = second_price([total for _, total in scans], rng)
                 picked, total = scans[winner]
                 won_owners, won_bids = owners[winner], bids[winner]
                 entries = [(won_owners[k], worths[won_owners[k]], won_bids[k]) for k in picked]
@@ -378,9 +356,9 @@ class Lockstep:
                 # written so that a NaN residual fails too
                 if not residual <= _RESIDUAL_HARD_LIMIT * max(1.0, captured):
                     raise NumericalError(f"payoff conservation violated by {residual:.3e} in round {t}")
-                sim.max_residual = max(sim.max_residual, residual)
+                self.max_residual[r] = max(self.max_residual[r], residual)
             records.append(RoundRecord(t, played[r], winner, payment, payoffs, residual))
-            triggers[r] = sim.rng.random(n)
+            triggers[r] = rng.random(n)
 
         # only the played strategy learns; losers and the excluded see payoff 0
         eta = cfg.learning_rate
@@ -388,30 +366,50 @@ class Lockstep:
         fitness = self.fitness.reshape(-1)
         fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * rewards
 
-        if sims[0]._pool_covs is None:
-            for sim, covs in zip(sims, _segment_covs(self.codes)):
-                sim._pool_covs = covs
+        if t == 0:
+            self._pool_covs = _segment_covs(self.codes)
         for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
-            sim = sims[r]
             width = BUILDER_WIDTH if agent < n_b else SEARCHER_WIDTH
-            evolve(sim.codes[agent], sim.fitness[agent], width, cfg.temperature, cfg.ga, sim.rng)
-            sim._log.append((t, agent, sim.codes[agent].copy()))
+            evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
+            self._logs[r].append((t, agent, self.codes[r, agent].copy()))
 
         # row t of every replica's series but for the consensus columns, which the fill writes
         means = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b])
         row = self.series[:, t]
         row[:, :2], row[:, 5:7] = means[:, :2], means[:, 2:]
         row[:, 7] = [record.payment for record in records]
-        for sim in sims:
-            sim.round_index += 1
-            if len(sim._log) >= LOG_FLUSH:
-                sim._fill_consensus()
+        self.round_index += 1
+        for r, log in enumerate(self._logs):
+            if len(log) >= LOG_FLUSH:
+                self._fill_consensus(r)
         return records
 
-    def run(self, sims: Sequence[Simulation]) -> None:
+    def run(self) -> None:
         """Play the rounds left until ``config.rounds``."""
-        for _ in range(self.config.rounds - sims[0].round_index):
-            self.run_round(sims)
+        for _ in range(self.config.rounds - self.round_index):
+            self.run_round()
+
+    def _fill_consensus(self, row: int) -> None:
+        """Fill replica ``row``'s consensus columns to ``round_index``: one ``cov`` over its
+        logged pools, then each role's ``_means`` after each step; a round takes those after
+        its last."""
+        start, stop, n_b, log = self._filled[row], self.round_index, self.config.n_builders, self._logs[row]
+        if start == stop:
+            return
+        states, rounds = [self._pool_covs[row]], [t for t, _, _ in log]
+        if log:
+            pairs = _segment_covs(np.array([codes for _, _, codes in log]))
+            for (_, agent, _), pair in zip(log, pairs):
+                states.append(list(states[-1]))
+                states[-1][2 * agent : 2 * agent + 2] = pair
+            log.clear()
+        # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
+        covs = np.array(states)
+        means = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
+        latest = np.searchsorted(rounds, np.arange(start, stop), side="right")
+        self.series[row, start:stop, 2:5] = means[latest]  # the ``CONSENSUS`` columns
+        self._filled[row] = stop
+        self._pool_covs[row] = states[-1]
 
 
 def final_window_mean(series, fraction: float) -> float:

@@ -1,7 +1,7 @@
 """Conflict-probability sweep: independent replicas, merged deterministically.
 
 Each (p_c, repetition) cell runs a full co-evolution simulation with its own
-RNG, and cells of one shape step together in ``Lockstep`` batches. Replica
+RNG, and cells of one shape run in ``Lockstep`` batches. Replica
 seeds are split from the master seed by a fixed rule, SeedSequence([master,
 p_index, repetition]), so results depend neither on how many workers execute
 the replicas nor on how they are batched or in which order they finish.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import Lockstep, SimConfig, Simulation, summarize
+from .simulation import Lockstep, SimConfig, summarize
 
 SWEEP_METRICS = (
     "bid_ratio",
@@ -53,13 +53,9 @@ MAX_REPLICAS = 10**6
 
 
 def _run_batch(tasks: list[tuple[SimConfig, int, tuple[int, ...]]]) -> list[dict[str, float]]:
-    lockstep = Lockstep(tasks[0][0], len(tasks))
-    sims = [
-        Simulation(config, replica_rng(master_seed, *indices), lockstep, row)
-        for row, (config, master_seed, indices) in enumerate(tasks)
-    ]
-    lockstep.run(sims)
-    return [summarize(sim) for sim in sims]
+    lockstep = Lockstep([task[0] for task in tasks], [replica_rng(seed, *ids) for _, seed, ids in tasks])
+    lockstep.run()
+    return [summarize(sim) for sim in lockstep.replicas]
 
 
 def run_replicas(tasks: list[tuple], jobs: int = 1) -> list[dict[str, float]]:

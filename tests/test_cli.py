@@ -206,16 +206,23 @@ def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
         # a table of fewer than 2 agents was ranked, nu 0.5/0.5, and the run exited 0
         ("0,0,,,1\n", "at least 2 agents, got 0"),
         ("0,1,,0.0,1\n1,0,0.2,,1\n", "at least 2 agents, got 1"),
+        # a payoff for a role no agent plays, and a negative sample count, were ranked
+        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,7,1\n", "profile (2, 0) has a payoff for a role no agent plays"),
+        ("0,2,5,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n", "profile (0, 2) has a payoff for a role no agent plays"),
+        ("0,2,,0.0,1\n1,1,0.2,0.1,-7\n2,0,0.2,,1\n", "profile (1, 1) has -7 samples"),
     ],
-    ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent"],
+    ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent",
+         "sharing-payoff-without-sharers", "building-payoff-without-builders", "negative-samples"],
 )
 def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
     hpt_file = tmp_path / "hpt.csv"
     hpt_file.write_text("n_building,n_sharing,u_building,u_sharing,samples\n" + rows)
-    assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1", "-o", tmp_path) == 2
+    out = tmp_path / "out"
+    assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1", "-o", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -356,6 +363,9 @@ def test_failing_verification_writes_its_report_and_exits_4(tmp_path, capsys, mo
         # hpt.csv that egta --hpt-file then refused
         (["sweep", *SIM_ARGS, "--pc", "0.5,0.5", "--reps", 1], None, "repeated p_c"),
         (["egta", "--agents", 2, "--rounds", 5, "--pc", "0.5,0.5"], None, "repeated p_c"),
+        # a repeated alpha wrote two identical alpharank.csv rows
+        (["egta", "--agents", 2, "--rounds", 5, "--pc", 0.5, "--alpha", "2,1,2"], None,
+         "repeated alpha values [2.0]"),
         # egta takes its role counts from --agents; its template took them from these keys
         (["egta", "--agents", 2, "--rounds", 5], {"builders": 1}, "builders"),
         (["egta", "--agents", 2, "--rounds", 5], {"searchers": 0}, "searchers"),
@@ -382,7 +392,7 @@ def test_failing_verification_writes_its_report_and_exits_4(tmp_path, capsys, mo
          "value-rate-1e-320", "simulate-negative-seed", "sweep-negative-seed",
          "egta-negative-seed", "verify-negative-seed", "verify-negative-jobs", "config-negative-seed",
          "sweep-repeated-pc",
-         "egta-repeated-pc", "egta-config-builders", "egta-config-searchers",
+         "egta-repeated-pc", "egta-repeated-alpha", "egta-config-builders", "egta-config-searchers",
          "sweep-config-ma-window", "sweep-config-snapshot-every", "egta-config-ma-window",
          "egta-config-snapshot-every", "config-fractional-builders", "config-fractional-capacity",
          "config-fractional-ma-window", "mc-samples-fractional"],

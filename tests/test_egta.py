@@ -156,6 +156,12 @@ def test_hpt_validation():
         rows = tuple(HptRow(k, m - k, 0.1 if k else None, 0.1 if k < m else None, 1) for k in range(m + 1))
         with pytest.raises(ConfigError, match=f"at least 2 agents, got {m}"):
             HeuristicPayoffTable(m=m, rows=rows)
+    # "None when no agent plays the role": a payoff there, or a negative sample count, was ranked
+    for row in (HptRow(2, 0, 0.1, 7.0, 1), HptRow(0, 2, 5.0, 0.0, 1)):
+        with pytest.raises(ConfigError, match="a role no agent plays"):
+            HeuristicPayoffTable(m=2, rows=(row,))
+    with pytest.raises(ConfigError, match="-7 samples"):
+        HeuristicPayoffTable(m=2, rows=(HptRow(1, 1, 0.1, 0.1, -7),))
 
 
 def test_stationary_distribution_direct():
@@ -260,6 +266,25 @@ def test_no_builder_row_equals_simulating_the_profile(m, p_c, seed):
     )
     # repr also tells 0.0 from -0.0, which print differently in hpt.csv
     assert repr(estimate_hpt(m, template, reps=reps).row(0)) == repr(simulated)
+
+
+def test_profile_payoffs_add_left_to_right_at_ten_reps():
+    # numpy's pairwise mean adds 8 or more values in another order: it gave u_building
+    # 0.026989442839200056 for 2 builders here, where adding left to right gives ...063
+    template, reps = SimConfig(n_builders=3, n_searchers=0, rounds=40, p_c=0.4, seed=5), 10
+    hpt = estimate_hpt(3, template, reps)
+    for n1 in range(1, 4):
+        config = dataclasses.replace(template, n_builders=n1, n_searchers=3 - n1)
+        totals = [0.0, 0.0]
+        for rep in range(reps):
+            sim = Simulation(config, rng=replica_rng(5, n1, rep))
+            sim.run()
+            summary = summarize(sim)
+            totals = [totals[0] + summary["builder_reward"], totals[1] + summary["searcher_reward"]]
+        row = hpt.row(n1)
+        assert row.u_building == totals[0] / reps
+        assert row.u_sharing == (None if n1 == 3 else totals[1] / reps)
+    assert hpt.row(2).u_building == 0.026989442839200063
 
 
 def test_all_builder_row_is_the_same_at_every_p_c():

@@ -242,10 +242,8 @@ CONFLICT_PROBABILITIES = st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0
        p_cs=st.lists(CONFLICT_PROBABILITIES, min_size=1, max_size=3))
 def test_round_graph_equals_the_drawn_scenario_graph(n, n_builders, seed, p_cs):
     shape = SimConfig(n_builders=n_builders, n_searchers=n - n_builders, rounds=1, p_c=0.0)
-    lockstep = Lockstep(shape, len(p_cs))
-    configs = [replace(shape, p_c=p_c, seed=seed + r) for r, p_c in enumerate(p_cs)]
-    sims = [Simulation(config, None, lockstep, r) for r, config in enumerate(configs)]
-    states = [sim.rng.bit_generator.state for sim in sims]
+    lockstep = Lockstep([replace(shape, p_c=p_c, seed=seed + r) for r, p_c in enumerate(p_cs)])
+    states = [sim.rng.bit_generator.state for sim in lockstep.replicas]
     gathered = []
 
     def masks_spy(graphs):
@@ -253,7 +251,7 @@ def test_round_graph_equals_the_drawn_scenario_graph(n, n_builders, seed, p_cs):
         return conflict_masks(graphs)
 
     with mock.patch.object(pbsgame.simulation, "conflict_masks", masks_spy):
-        lockstep.run_round(sims)
+        lockstep.run_round()
 
     [graphs] = gathered
     for graph, masks, state, p_c in zip(graphs, conflict_masks(graphs), states, p_cs):

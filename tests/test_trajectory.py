@@ -13,7 +13,6 @@ A further property checks one GA step on its own.
 import math
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -75,8 +74,8 @@ def returned_records():
     rounds = []
     run_round = Lockstep.run_round
 
-    def spy(self, sims):
-        rounds.append(run_round(self, sims))
+    def spy(self):
+        rounds.append(run_round(self))
         return rounds[-1]
 
     with mock.patch.object(Lockstep, "run_round", spy):
@@ -125,11 +124,10 @@ def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, da
         replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
         for _ in range(replicas)
     ]
-    lockstep = Lockstep(shape, replicas)
-    sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
+    lockstep = Lockstep(configs)
     with returned_records() as rounds:
-        lockstep.run(sims)
-    for sim, config, records in zip(sims, configs, rounds):
+        lockstep.run()
+    for sim, config, records in zip(lockstep.replicas, configs, rounds):
         assert_follows_the_reference(sim, config, records)
 
 
@@ -148,10 +146,10 @@ def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush
             replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
             for _ in range(replicas)
         ]
-        lockstep = Lockstep(shape, replicas)
-        sims = [Simulation(config, None, lockstep, row) for row, config in enumerate(configs)]
+        lockstep = Lockstep(configs)
+        sims = lockstep.replicas
         # looked up at each step, so that ``returned_records`` sees the round
-        step, finish = lambda: lockstep.run_round(sims), partial(lockstep.run, sims)
+        step, finish = lambda: lockstep.run_round(), lockstep.run
     references = [ReferenceRun(config).run() for config in configs]
     with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush), returned_records() as rounds:
         for t in reads:
