@@ -60,21 +60,23 @@ class Block:
         return reduce(add, (e.value for e in self.entries), 0.0)
 
 
-def rank_offers(values: np.ndarray, bids: np.ndarray) -> np.ndarray:
+def rank_offers(values: np.ndarray, bids: np.ndarray, positive: np.ndarray | None = None) -> np.ndarray:
     """The greedy scan order of each row of offers, whose columns are in owner order.
 
     Rows of ``values`` and ``bids`` are the offers to one builder. Order:
     positive-value bundles first, then bid descending, ties by lower owner
     (one stable argsort of the key ``-bid``, or ``+inf`` where the value is
-    not positive). Raises unless every bid lies in [0, value].
+    not positive). ``positive`` is ``values > 0`` when the caller holds it.
+    Raises unless every bid lies in [0, value].
     """
     values = np.asarray(values, dtype=float)
     bids = np.asarray(bids, dtype=float)
-    bad = ~((0 <= bids) & (bids <= values))
-    if bad.any():
-        k = tuple(np.argwhere(bad)[0])
+    valid = (bids >= 0) & (bids <= values)
+    if not valid.all():
+        k = tuple(np.argwhere(~valid)[0])
         raise ConfigError(f"bid must be in [0, value], got bid {bids[k]} for value {values[k]}")
-    return np.argsort(np.where(values > 0, -bids, np.inf), axis=-1, kind="stable")
+    keys = np.where(values > 0 if positive is None else positive, -bids, np.inf)
+    return keys.argsort(axis=-1, kind="stable")
 
 
 def greedy_scan(

@@ -47,6 +47,8 @@ class HeuristicPayoffTable:
             profile = f"profile ({row.n_building}, {row.n_sharing})"
             if row.n_building + row.n_sharing != self.m:
                 raise ConfigError(f"{profile} does not sum to {self.m}")
+            if not (0 <= row.n_building <= self.m and 0 <= row.n_sharing <= self.m):
+                raise ConfigError(f"{profile} has a role count outside [0, {self.m}]")
             if not all(math.isfinite(u) for u in (row.u_building, row.u_sharing) if u is not None):
                 raise ConfigError(f"{profile} has a non-finite payoff")
             if (row.n_building == 0 and row.u_building is not None

@@ -35,9 +35,12 @@ class GAConfig:
 
 
 def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:
-    """Softmax along the last axis; shift-invariant."""
-    weights = np.exp((fitness - fitness.max(axis=-1, keepdims=True)) / temperature)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, in a new array; shift-invariant."""
+    weights = fitness - np.maximum.reduce(fitness, axis=-1, keepdims=True)
+    weights /= temperature
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return weights
 
 
 def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarray:
@@ -45,8 +48,8 @@ def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarr
     uniform draw of the same index: the count of the row's cumulative probabilities <= the
     draw, clipped to the last strategy. Each row is reduced on its own, so stacking rows
     never changes a pick."""
-    cumulative = np.cumsum(_softmax(fitness, temperature), axis=-1)
-    picked = np.count_nonzero(cumulative <= uniforms[..., None], axis=-1)
+    cumulative = np.add.accumulate(_softmax(fitness, temperature), axis=-1)
+    picked = np.add.reduce(cumulative <= uniforms[..., None], axis=-1, dtype=np.intp)
     return np.minimum(picked, cumulative.shape[-1] - 1)
 
 
@@ -77,24 +80,28 @@ def evolve(
     size = len(codes)
     # keep at least one survivor so there is always a parent to breed from
     n_drop = min(int(size * ga.elimination), size - 1)
-    kept = np.sort(np.argsort(fitness, kind="stable")[n_drop:])  # by (fitness, index)
+    if n_drop == 0:  # the pool stays as it is, and no draw is made
+        return
+    kept = fitness.argsort(kind="stable")[n_drop:]  # by (fitness, index)
+    kept.sort()
     new_codes, new_fitness = codes[kept].tolist(), fitness[kept].tolist()
-    cumulative = np.cumsum(_softmax(fitness[kept], temperature)).tolist()
+    cumulative = np.add.accumulate(_softmax(fitness[kept], temperature)).tolist()
     last = len(new_codes) - 1
     places = [1 << bit for bit in reversed(range(width))]  # string position -> code bit
-    while len(new_codes) < size:
-        u_a, u_b = rng.random(2).tolist()
+    flip_width = width if ga.mutation > 0 else 0
+    uniforms = rng.random(2).tolist()  # the first pair's parents
+    while (short := size - len(new_codes)) > 0:
+        u_a, u_b = uniforms[-2:]
         a, b = min(bisect_right(cumulative, u_a), last), min(bisect_right(cumulative, u_b), last)
         # the first ``point`` bits (the high ones) come from one parent, the rest from the other
         low = (1 << width - int(rng.integers(1, width))) - 1
         child_fitness = 0.5 * (new_fitness[a] + new_fitness[b])
-        for child in (new_codes[a] & ~low | new_codes[b] & low, new_codes[b] & ~low | new_codes[a] & low):
-            if len(new_codes) == size:
-                break
-            if ga.mutation > 0:
-                flips = zip(places, rng.random(width).tolist())
-                child ^= sum(place for place, u in flips if u < ga.mutation)
-            new_codes.append(child)
+        children = (new_codes[a] & ~low | new_codes[b] & low, new_codes[b] & ~low | new_codes[a] & low)[:short]
+        # the children's mutation uniforms, then the next pair's parents: adjacent in the stream
+        uniforms = rng.random(len(children) * flip_width + 2 * (short > 2)).tolist()
+        for k, child in enumerate(children):
+            flips = zip(places, uniforms[k * flip_width : (k + 1) * flip_width])
+            new_codes.append(child ^ sum(place for place, u in flips if u < ga.mutation))
             new_fitness.append(child_fitness)
     codes[:] = new_codes
     fitness[:] = new_fitness

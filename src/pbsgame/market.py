@@ -104,9 +104,14 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+_BIT_VALUES = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)  # 1 << i, one word each
+
+
 def conflict_masks(conflicts: np.ndarray) -> list:
     """Row ``k`` of each boolean matrix in ``conflicts`` (shape ``(..., n, n)``) as an int
     bitmask, bit ``i`` set where entry ``(k, i)`` is; nested lists over the leading axes."""
+    if conflicts.shape[-1] <= 64:  # each mask is one word: the row's sum of its bits' values
+        return (conflicts @ _BIT_VALUES[: conflicts.shape[-1]]).tolist()
     packed = np.packbits(conflicts, axis=-1, bitorder="little")
     # zero-padded to at least one whole 64-bit word, word w holding bits 64w..64w+63
     padded = np.zeros(packed.shape[:-1] + (max(8, -(-packed.shape[-1] // 8) * 8),), dtype=np.uint8)

@@ -15,8 +15,11 @@ one replica of its own ``Lockstep``. Every replica owns a single RNG and makes
 the same calls in the same order however many replicas step with it, so a
 (config, seed) pair reproduces bit-identical results.
 
-No round reads the pool consensus (the ``cov_*`` series), so a round only logs the
-codes each GA step leaves; ``Simulation.metrics`` fills the series when read.
+No round reads a metric series, so a round writes only what was played and paid: its
+payment, and each replica's played codes and payoffs into a block of ``LOG_FLUSH``
+rounds, and it logs the codes each GA step leaves. The means are filled from the block
+when it is full, and ``Simulation.metrics`` fills both the means and the consensus
+(the ``cov_*`` series) when read.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ _RESIDUAL_HARD_LIMIT = 1e-12
 # fraction of rounds treated as post-convergence by ``summarize``
 FINAL_WINDOW = 0.1
 _ALPHAS = np.array(BUILDER_ALPHAS)
-# GA steps a replica logs before its consensus series are filled without a read
+# GA steps a replica logs, and rounds a lockstep holds, before their series are filled without a read
 LOG_FLUSH = 128
+FILL_BLOCK = 1 << 16  # bid ratios one chunk of the mean fill holds: 512 KiB of floats
 
 
 @dataclass(frozen=True)
@@ -182,13 +186,12 @@ def _mean(values: list[float]) -> float:
 
 def _means(*parts: np.ndarray) -> np.ndarray:
     """``_mean`` of each row of each 2-D part as a (rows, parts) array, NaN for width 0: one
-    left-to-right ``cumsum`` over the parts padded with zeros, which leave each sum as is."""
-    widths = [part.shape[1] for part in parts]
-    padded = np.zeros((len(parts[0]), len(parts), max(*widths, 1)))
+    left-to-right running sum (``np.cumsum``) per part."""
+    means = np.full((len(parts[0]), len(parts)), math.nan)
     for k, part in enumerate(parts):
-        padded[:, k, : widths[k]] = part
-    sums = np.cumsum(padded, axis=-1)[:, range(len(parts)), [max(w, 1) - 1 for w in widths]]
-    return sums / np.array([w or math.nan for w in widths])
+        if part.shape[1]:
+            means[:, k] = np.add.accumulate(part, axis=1)[:, -1] / part.shape[1]
+    return means
 
 
 def _segment_covs(codes: np.ndarray) -> list[list[float]]:
@@ -229,6 +232,7 @@ class Simulation:
     @property
     def metrics(self) -> MetricsSeries:
         """Every series up to ``round_index``, as lists of Python floats."""
+        self._lockstep._fill_means()
         self._lockstep._fill_consensus(self._row)
         return MetricsSeries(*self._lockstep.series[self._row, : self.round_index].T.tolist())
 
@@ -247,9 +251,10 @@ class Lockstep:
     generator is ``rngs[r]``, else one seeded from its config, and makes exactly the calls a
     lone replica's makes, in the same order: the pools, drawn in row order; each round the
     values, pairs and selection uniforms, the auction's tie draw and the GA triggers; then
-    the triggered GA steps. Selection, bids, offer ranking, the fitness update and the
-    metric means run once per round on the stacked arrays, each row reduced on its own.
-    Each round returns every replica's ``RoundRecord``, keeps none and decodes no genome.
+    the triggered GA steps. Selection, bids, offer ranking and the fitness update run once
+    per round on the stacked arrays, and the metric means once per block of rounds, each
+    row reduced on its own. Each round returns every replica's ``RoundRecord``, keeps none
+    and decodes no genome.
     """
 
     def __init__(self, configs: Sequence[SimConfig], rngs: Sequence[np.random.Generator] | None = None):
@@ -269,12 +274,16 @@ class Lockstep:
             owners[:] = range(n_b - 1, n)
             owners[:, :, 0] = range(n_b)
             self._owners = owners.ravel()
+            self._offer_at = owners + n * np.arange(size).reshape(size, 1, 1)  # its value's flat index
             self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
             # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
             # column, read on the diagonal, is False
             rows, cols = pair_indices(n)
             self._pair_at = np.full((n, n), rows.size)
             self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
+            # the codes played and payoffs paid in the rounds since the mean columns were filled
+            self._played = np.empty((size, min(LOG_FLUSH, config.rounds), n), dtype=np.int64)
+            self._paid = np.empty(self._played.shape)
         except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
             raise ConfigError(f"cannot hold {config.rounds} rounds of metrics of {n} agents: {exc}") from exc
         self._bits = [1 << a for a in range(n)]
@@ -282,7 +291,7 @@ class Lockstep:
         self._rngs = list(rngs) if rngs is not None else [np.random.default_rng(c.seed) for c in configs]
         widths = [BUILDER_WIDTH] * n_b + [SEARCHER_WIDTH] * n_s
         self.codes[:] = [[random_codes(w, POOL_SIZE, rng) for w in widths] for rng in self._rngs]
-        self.round_index, self.max_residual = 0, [0.0] * size
+        self.round_index, self.max_residual, self._averaged = 0, [0.0] * size, 0
         # per row: how many rounds' consensus columns are written, ``_segment_covs`` of every
         # pool as of the last fill (the first round's first), and each GA step since
         self._filled, self._pool_covs = [0] * size, []
@@ -314,26 +323,25 @@ class Lockstep:
         # strategy selection, one softmax draw per agent
         played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
         played = self.codes.reshape(-1)[played_at]
-        alphas = _ALPHAS[played[:, :n_b]]
         betas = bid_ratios(played[:, n_b:], played[:, :n_b])
+        held = t - self._averaged  # this round's place in the block of played codes and payoffs
+        self._played[:, held] = played
 
         if n_b > 0:
             # row [r, j]: the offers to builder j in owner order, its own bundle (bid at
             # its whole value) then every searcher's; ranked as flat indices, each row's
             # scan bounded by its count of positive values, which rank first. An offer's
             # value is its owner's draw, so the winner's entries read it from ``values``.
-            offer_values = np.empty((size, n_b, n - n_b + 1))
-            offer_values[:] = values[:, None, n_b - 1 :]
-            offer_values[:, :, 0] = values[:, :n_b]
+            offer_values = values.reshape(-1)[self._offer_at]
             offer_bids = offer_values.copy()
             offer_bids[:, :, 1:] *= betas.transpose(0, 2, 1)
-            ranked = rank_offers(offer_values, offer_bids) + self._offsets
+            positive = offer_values > 0
+            ranked = rank_offers(offer_values, offer_bids, positive) + self._offsets
             offers = zip(
                 self._owners[ranked].tolist(),
                 offer_bids.ravel()[ranked].tolist(),
-                np.count_nonzero(offer_values > 0, axis=-1).tolist(),
+                np.add.reduce(positive, axis=-1, dtype=np.intp).tolist(),
                 masks,
-                alphas.tolist(),
                 values.tolist(),
             )
         records = []
@@ -341,7 +349,7 @@ class Lockstep:
         for r, rng in enumerate(self._rngs):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
             if n_b > 0:
-                owners, bids, lengths, bundle_masks, rebates, worths = next(offers)
+                owners, bids, lengths, bundle_masks, worths = next(offers)
                 scans = [
                     greedy_scan(*row, bundle_masks, self._bits, cfg.capacity)
                     for row in zip(owners, bids, lengths)
@@ -350,7 +358,8 @@ class Lockstep:
                 picked, total = scans[winner]
                 won_owners, won_bids = owners[winner], bids[winner]
                 entries = [(won_owners[k], worths[won_owners[k]], won_bids[k]) for k in picked]
-                payoffs = tuple(distribute(winner, payment, total, entries, rebates[winner], n))
+                rebate = BUILDER_ALPHAS[played[r, winner]]
+                payoffs = tuple(distribute(winner, payment, total, entries, rebate, n))
                 captured = reduce(operator.add, (entry[1] for entry in entries), 0.0)
                 residual = conservation_residual(payment + reduce(operator.add, payoffs, 0.0), captured)
                 # written so that a NaN residual fails too
@@ -362,23 +371,22 @@ class Lockstep:
 
         # only the played strategy learns; losers and the excluded see payoff 0
         eta = cfg.learning_rate
-        rewards = np.array([record.payoffs for record in records])
+        self._paid[:, held] = [record.payoffs for record in records]
         fitness = self.fitness.reshape(-1)
-        fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * rewards
+        fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * self._paid[:, held]
 
         if t == 0:
             self._pool_covs = _segment_covs(self.codes)
-        for r, agent in zip(*(k.tolist() for k in np.nonzero(triggers < cfg.ga.trigger))):
+        for r, agent in zip(*(k.tolist() for k in (triggers < cfg.ga.trigger).nonzero())):
             width = BUILDER_WIDTH if agent < n_b else SEARCHER_WIDTH
             evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
             self._logs[r].append((t, agent, self.codes[r, agent].copy()))
 
-        # row t of every replica's series but for the consensus columns, which the fill writes
-        means = _means(betas.reshape(size, -1), alphas, rewards[:, n_b:], rewards[:, :n_b])
-        row = self.series[:, t]
-        row[:, :2], row[:, 5:7] = means[:, :2], means[:, 2:]
-        row[:, 7] = [record.payment for record in records]
+        # the payment column of round t; the fills write the means and the consensus
+        self.series[:, t, 7] = [record.payment for record in records]
         self.round_index += 1
+        if held + 1 == self._played.shape[1]:
+            self._fill_means()
         for r, log in enumerate(self._logs):
             if len(log) >= LOG_FLUSH:
                 self._fill_consensus(r)
@@ -388,6 +396,22 @@ class Lockstep:
         """Play the rounds left until ``config.rounds``."""
         for _ in range(self.config.rounds - self.round_index):
             self.run_round()
+
+    def _fill_means(self) -> None:
+        """Fill every replica's mean columns for the rounds the block holds, from the codes
+        played and the payoffs paid, ``FILL_BLOCK`` bid ratios at a time, and empty it."""
+        start, stop, n_b, n = self._averaged, self.round_index, self.config.n_builders, self.config.n_agents
+        if start == stop:
+            return
+        played, paid = (block[:, : stop - start].reshape(-1, n) for block in (self._played, self._paid))
+        means = np.empty((len(played), 4))
+        step = max(1, FILL_BLOCK // max(n_b * (n - n_b), n))
+        for lo in range(0, len(played), step):
+            codes, payoffs = played[lo : lo + step], paid[lo : lo + step]
+            betas = bid_ratios(codes[:, n_b:], codes[:, :n_b]).reshape(len(codes), -1)
+            means[lo : lo + step] = _means(betas, _ALPHAS[codes[:, :n_b]], payoffs[:, n_b:], payoffs[:, :n_b])
+        self.series[:, start:stop, [0, 1, 5, 6]] = means.reshape(len(self._rngs), stop - start, 4)
+        self._averaged = stop
 
     def _fill_consensus(self, row: int) -> None:
         """Fill replica ``row``'s consensus columns to ``round_index``: one ``cov`` over its

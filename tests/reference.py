@@ -19,8 +19,9 @@ held as bit strings, in the order the round consumes its generator:
    by numpy's 1-D mean and standard deviation.
 
 It also holds the asymmetric Laplace density and distribution of v1 - v2, the
-oracle the closed-form market's quadrature and Monte Carlo checks integrate, and
-``given_scenario``, which makes the simulator's next rounds play a fixed market.
+oracle the closed-form market's quadrature and Monte Carlo checks integrate,
+``bitmasks``, the conflict masks built one bit at a time, and ``given_scenario``,
+which makes the simulator's next rounds play a fixed market.
 """
 
 from __future__ import annotations
@@ -230,6 +231,18 @@ def laplace_cdf(x: float, rate1: float, rate2: float) -> float:
     if x < 0:
         return rate1 / (rate1 + rate2) * math.exp(rate2 * x)
     return 1.0 - rate2 / (rate1 + rate2) * math.exp(-rate1 * x)
+
+
+def bitmasks(conflicts: np.ndarray) -> list[int]:
+    """Row ``k`` of a boolean matrix as a Python int with bit ``i`` set where entry ``(k, i)`` is."""
+    masks = []
+    for row in conflicts.tolist():
+        mask = 0
+        for i, conflict in enumerate(row):
+            if conflict:
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
 
 
 def given_scenario(scenario):

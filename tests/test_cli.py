@@ -210,9 +210,13 @@ def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
         ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,7,1\n", "profile (2, 0) has a payoff for a role no agent plays"),
         ("0,2,5,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n", "profile (0, 2) has a payoff for a role no agent plays"),
         ("0,2,,0.0,1\n1,1,0.2,0.1,-7\n2,0,0.2,,1\n", "profile (1, 1) has -7 samples"),
+        # a negative role count that sums to m was ranked as if the row were absent
+        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n-1,3,0.4,0.3,1\n", "profile (-1, 3) has a role count outside [0, 2]"),
+        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n3,-1,0.4,0.3,1\n", "profile (3, -1) has a role count outside [0, 2]"),
     ],
     ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent",
-         "sharing-payoff-without-sharers", "building-payoff-without-builders", "negative-samples"],
+         "sharing-payoff-without-sharers", "building-payoff-without-builders", "negative-samples",
+         "negative-builders", "negative-sharers"],
 )
 def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
     hpt_file = tmp_path / "hpt.csv"

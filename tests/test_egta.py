@@ -162,6 +162,10 @@ def test_hpt_validation():
             HeuristicPayoffTable(m=2, rows=(row,))
     with pytest.raises(ConfigError, match="-7 samples"):
         HeuristicPayoffTable(m=2, rows=(HptRow(1, 1, 0.1, 0.1, -7),))
+    # a negative role count that still sums to m was ranked as if the row were absent
+    for row in (HptRow(-1, 3, 0.4, 0.3, 1), HptRow(3, -1, 0.4, 0.3, 1)):
+        with pytest.raises(ConfigError, match=r"role count outside \[0, 2\]"):
+            HeuristicPayoffTable(m=2, rows=(row,))
 
 
 def test_stationary_distribution_direct():

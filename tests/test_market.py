@@ -4,6 +4,7 @@ import pytest
 from pbsgame.builder import BlockEntry, build_block
 from pbsgame.errors import ConfigError
 from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
+from reference import bitmasks
 
 
 def _after_first(value, graph):
@@ -116,6 +117,14 @@ def test_graph_conflict_pairs_round_trip():
     assert g.weight(2, 0) == -1.0
     assert g.weight(0, 1) == 0.0
     assert [g.conflicts(k) for k in range(4)] == [{2}, {3}, {0}, {1}]
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 100])
+def test_conflict_masks_equal_masks_built_one_bit_at_a_time(n):
+    # up to 64 bundles a mask is one machine word; bit 63 is the highest one set
+    conflicts = np.random.default_rng(n).random((3, n, n)) < np.reshape([0.5, 0.0, 1.0], (3, 1, 1))
+    assert conflict_masks(conflicts) == [bitmasks(matrix) for matrix in conflicts]
+    assert conflict_masks(conflicts[2])[0] == 2**n - 1
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 7, 7), (2, 2, 64, 64), (65, 65), (2, 130, 130)])

@@ -22,6 +22,7 @@ from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
 from pbsgame.simulation import (
+    FILL_BLOCK,
     LOG_FLUSH,
     Lockstep,
     MetricsSeries,
@@ -488,6 +489,22 @@ def test_a_lockstep_holds_at_most_100_bytes_per_replica_round():
 
     held(100)  # fills the lazily built lookup tables and numpy's small-buffer cache
     assert (held(2100) - held(100)) / (4 * 2000) <= 100
+
+
+def test_the_mean_fill_holds_a_few_chunks_of_bid_ratios():
+    # 127 50x50 rounds play 127 x 2,500 bid ratios, ~5 chunks of 2**16; taken at once,
+    # they and their running sums peak near 10 chunk sizes (5 MB)
+    lockstep = Lockstep([SimConfig(50, 50, LOG_FLUSH, 0.1, seed=0)])
+    for _ in range(LOG_FLUSH - 1):
+        lockstep.run_round()
+    tracemalloc.start()
+    try:
+        lockstep._fill_means()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert FILL_BLOCK == 2**16 and peak < 3 * 8 * FILL_BLOCK
+    assert not np.isnan(lockstep.series[0, : LOG_FLUSH - 1, [0, 1, 5, 6]]).any()
 
 
 def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):

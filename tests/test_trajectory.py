@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pbsgame.simulation
@@ -134,31 +134,35 @@ def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, da
 @settings(max_examples=100, deadline=None)
 @given(configs(), st.sampled_from([None, 1, 2, 7]), st.sampled_from([1, 3, LOG_FLUSH]), st.data())
 def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush, data):
-    # the consensus series are filled on read and whenever a GA log holds ``flush``
-    # steps; a read at any round sees the reference's prefix and leaves the rest as is
-    reads = sorted(data.draw(st.sets(st.integers(0, shape.rounds), max_size=4)))
-    if replicas is None:
-        configs = [shape]
-        sims = [Simulation(shape)]
-        step, finish = sims[0].run_round, sims[0].run
-    else:
-        configs = [
-            replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
-            for _ in range(replicas)
-        ]
-        lockstep = Lockstep(configs)
-        sims = lockstep.replicas
-        # looked up at each step, so that ``returned_records`` sees the round
-        step, finish = lambda: lockstep.run_round(), lockstep.run
-    references = [ReferenceRun(config).run() for config in configs]
-    with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush), returned_records() as rounds:
-        for t in reads:
-            while sims[0].round_index < t:
-                step()
-            for sim, reference in zip(sims, references):
-                for name in FIELDS:
-                    assert same(getattr(sim.metrics, name), reference.series[name][:t]), (t, name)
-        finish()
+    # the series are filled on read, the consensus whenever a GA log holds ``flush`` steps
+    # and the means whenever the block of ``flush`` rounds is full; a read at any round,
+    # one at a full block too, sees the reference's prefix and leaves the rest as is
+    reads = data.draw(st.sets(st.integers(0, shape.rounds), max_size=4))
+    reads = sorted(reads | {t for t in (flush, 2 * flush) if t <= shape.rounds})
+    # the lockstep sizes its block of played rounds by ``LOG_FLUSH``, so it is built under the patch
+    with mock.patch.object(pbsgame.simulation, "LOG_FLUSH", flush):
+        if replicas is None:
+            configs = [shape]
+            sims = [Simulation(shape)]
+            step, finish = sims[0].run_round, sims[0].run
+        else:
+            configs = [
+                replace(shape, p_c=data.draw(unit(0.0, 1.0)), seed=data.draw(st.integers(0, 2**32 - 1)))
+                for _ in range(replicas)
+            ]
+            lockstep = Lockstep(configs)
+            sims = lockstep.replicas
+            # looked up at each step, so that ``returned_records`` sees the round
+            step, finish = lambda: lockstep.run_round(), lockstep.run
+        references = [ReferenceRun(config).run() for config in configs]
+        with returned_records() as rounds:
+            for t in reads:
+                while sims[0].round_index < t:
+                    step()
+                for sim, reference in zip(sims, references):
+                    for name in FIELDS:
+                        assert same(getattr(sim.metrics, name), reference.series[name][:t]), (t, name)
+            finish()
     for sim, config, records in zip(sims, configs, rounds):
         assert_follows_the_reference(sim, config, records)
 
@@ -213,8 +217,14 @@ def ga_steps(draw):
     )
 
 
+POOL = [[format(37 * k % 1024, "010b"), float(k % 7 - 3)] for k in range(20)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(ga_steps())
+@example((POOL, 2.0, 0.45, 0.01, 7))  # a shortfall of 9: the last pair breeds one child
+@example((POOL, 2.0, 0.5, 0.0, 7))  # no mutation uniforms between the pairs' parents
+@example((POOL, 2.0, 0.0, 0.01, 7))  # nothing eliminated: no draw at all
 def test_array_ga_step_equals_the_string_ga(step):
     strategies, temperature, elimination, mutation, seed = step
     codes = np.array([int(bits, 2) for bits, _ in strategies])
