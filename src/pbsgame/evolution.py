@@ -100,8 +100,10 @@ def evolve(
         # the children's mutation uniforms, then the next pair's parents: adjacent in the stream
         uniforms = rng.random(len(children) * flip_width + 2 * (short > 2)).tolist()
         for k, child in enumerate(children):
-            flips = zip(places, uniforms[k * flip_width : (k + 1) * flip_width])
-            new_codes.append(child ^ sum(place for place, u in flips if u < ga.mutation))
+            draws = uniforms[k * flip_width : (k + 1) * flip_width]
+            if draws and min(draws) < ga.mutation:  # most children keep every bit
+                child ^= sum(place for place, u in zip(places, draws) if u < ga.mutation)
+            new_codes.append(child)
             new_fitness.append(child_fitness)
     codes[:] = new_codes
     fitness[:] = new_fitness

@@ -113,8 +113,8 @@ def conflict_masks(conflicts: np.ndarray) -> list:
     if conflicts.shape[-1] <= 64:  # each mask is one word: the row's sum of its bits' values
         return (conflicts @ _BIT_VALUES[: conflicts.shape[-1]]).tolist()
     packed = np.packbits(conflicts, axis=-1, bitorder="little")
-    # zero-padded to at least one whole 64-bit word, word w holding bits 64w..64w+63
-    padded = np.zeros(packed.shape[:-1] + (max(8, -(-packed.shape[-1] // 8) * 8),), dtype=np.uint8)
+    # zero-padded to whole 64-bit words, word w holding bits 64w..64w+63
+    padded = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
     padded[..., : packed.shape[-1]] = packed
     words = padded.view("<u8").astype(object)
     masks = words[..., 0]

@@ -401,8 +401,6 @@ class Lockstep:
         """Fill every replica's mean columns for the rounds the block holds, from the codes
         played and the payoffs paid, ``FILL_BLOCK`` bid ratios at a time, and empty it."""
         start, stop, n_b, n = self._averaged, self.round_index, self.config.n_builders, self.config.n_agents
-        if start == stop:
-            return
         played, paid = (block[:, : stop - start].reshape(-1, n) for block in (self._played, self._paid))
         means = np.empty((len(played), 4))
         step = max(1, FILL_BLOCK // max(n_b * (n - n_b), n))
