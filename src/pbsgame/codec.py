@@ -35,9 +35,15 @@ class BuilderParams(NamedTuple):
 
 
 def random_codes(width: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` random genome codes of ``width`` bits, each from one ``rng.integers`` draw."""
+    """``size`` random genome codes of ``width`` bits, from one ``rng.integers`` draw.
+
+    Row k of the ``(size, width)`` bit draw is genome k, read most-significant
+    first. Each bit takes one 32-bit draw and the generator keeps an unused
+    half of a 64-bit draw for the next one, so this consumes the stream
+    exactly as ``size`` calls of ``width`` bits would.
+    """
     places = 1 << np.arange(width - 1, -1, -1)
-    return np.array([rng.integers(0, 2, size=width) @ places for _ in range(size)], dtype=np.int64)
+    return rng.integers(0, 2, size=(size, width)) @ places
 
 
 def _linear(d: int, low: float, high: float) -> float:

@@ -18,7 +18,8 @@ held as bit strings, in the order the round consumes its generator:
 8. the metrics, each a left-to-right Python sum, with each pool's CoV taken
    by numpy's 1-D mean and standard deviation.
 
-It also holds the asymmetric Laplace density and distribution of v1 - v2, the
+It also holds ``random_genomes``, a pool drawn with one generator call per
+genome, the asymmetric Laplace density and distribution of v1 - v2, the
 oracle the closed-form market's quadrature and Monte Carlo checks integrate,
 ``bitmasks``, the conflict masks built one bit at a time, and ``given_scenario``,
 which makes the simulator's next rounds play a fixed market.
@@ -81,6 +82,11 @@ def pool_cov(pool: list[list], segment: int) -> float:
     return 0.0 if m == 0 else float(arr.std() / m)
 
 
+def random_genomes(width: int, size: int, rng: np.random.Generator) -> list[str]:
+    """``size`` random genomes of ``width`` bits, one ``rng.integers`` call each."""
+    return ["".join("1" if b else "0" for b in rng.integers(0, 2, size=width)) for _ in range(size)]
+
+
 def mutate(bits: str, rate: float, rng: np.random.Generator) -> str:
     if rate <= 0:
         return bits
@@ -128,10 +134,7 @@ class ReferenceRun:
         self.pools = []
         for agent in self.builders + self.searchers:
             width = BUILDER_WIDTH if agent in self.builders else SEARCHER_WIDTH
-            self.pools.append([
-                ["".join("1" if b else "0" for b in self.rng.integers(0, 2, size=width)), 0.0]
-                for _ in range(POOL_SIZE)
-            ])
+            self.pools.append([[bits, 0.0] for bits in random_genomes(width, POOL_SIZE, self.rng)])
         self.series = {name: [] for name in FIELDS}
         self.records = []
 

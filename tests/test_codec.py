@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbsgame
 from pbsgame.codec import (
@@ -17,7 +19,7 @@ from pbsgame.codec import (
     segment_ints,
 )
 from pbsgame.errors import CodecError
-from reference import alpha_of, gammas_of
+from reference import alpha_of, gammas_of, random_genomes
 
 
 def test_decode_searcher_all_zero_and_all_one():
@@ -135,12 +137,21 @@ def test_random_codes_widths():
         assert 0 <= codes.min() and codes.max() < 2**width
 
 
-def test_random_codes_read_each_draw_most_significant_first():
-    # one rng.integers(0, 2, size=width) call per genome, its bits read as a string
-    rng, bits_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for width in (5, 10):
-        expected = [
-            int("".join(map(str, bits_rng.integers(0, 2, size=width))), 2) for _ in range(20)
-        ]
-        assert random_codes(width, 20, rng).tolist() == expected
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 41),
+    widths=st.sampled_from([(5, 10), (10, 5)]),
+    half_buffered=st.booleans(),
+)
+def test_random_codes_read_each_draw_most_significant_first(seed, size, widths, half_buffered):
+    # one (size, width) draw is the stream of one rng.integers(0, 2, size=width) call
+    # per genome, its bits read as a string
+    rng, bits_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_buffered:  # a 1-bit draw leaves the other half of its 64-bit draw buffered
+        for generator in (rng, bits_rng):
+            generator.integers(0, 2, size=1)
+    for width in widths:
+        expected = [int(bits, 2) for bits in random_genomes(width, size, bits_rng)]
+        assert random_codes(width, size, rng).tolist() == expected
     assert rng.bit_generator.state == bits_rng.bit_generator.state
