@@ -301,6 +301,9 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
         raise ConfigError(f"bad payoff table file {path}: {exc}") from exc
     if not groups:
         raise ConfigError(f"payoff table file {path} is empty")
+    for p_c in groups:
+        if p_c is not None and not 0 <= p_c <= 1:  # written so that NaN fails too
+            raise ConfigError(f"conflict probability must be in [0, 1], got p_c {p_c} in {path}")
     return [
         (_fmt(p_c), HeuristicPayoffTable(m=rows[0].n_building + rows[0].n_sharing, rows=tuple(rows)))
         for p_c, rows in groups.items()

@@ -17,9 +17,9 @@ the same calls in the same order however many replicas step with it, so a
 
 No round reads a metric series, so a round writes only what was played and paid: its
 payment, and each replica's played codes and payoffs into a block of ``LOG_FLUSH``
-rounds, and it logs the codes each GA step leaves. The means are filled from the block
-when it is full, and ``Simulation.metrics`` fills both the means and the consensus
-(the ``cov_*`` series) when read.
+rounds, and it logs the codes each GA step leaves. One fill writes every replica's means
+and consensus (the ``cov_*`` series) from the block and the logs, when the block is full,
+when a log holds ``LOG_FLUSH`` steps, and when ``Simulation.metrics`` is read.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ FINAL_WINDOW = 0.1
 _ALPHAS = np.array(BUILDER_ALPHAS)
 # GA steps a replica logs, and rounds a lockstep holds, before their series are filled without a read
 LOG_FLUSH = 128
-FILL_BLOCK = 1 << 16  # bid ratios one chunk of the mean fill holds: 512 KiB of floats
+FILL_BLOCK = 1 << 16  # bid ratios a fill takes per chunk of its means: 512 KiB of floats
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,8 @@ class Simulation:
 
     @property
     def metrics(self) -> MetricsSeries:
-        """Every series up to ``round_index``, as lists of Python floats."""
-        self._lockstep._fill_means()
-        self._lockstep._fill_consensus(self._row)
+        """Every series up to ``round_index``, as lists of Python floats; fills the whole batch."""
+        self._lockstep._fill()
         return MetricsSeries(*self._lockstep.series[self._row, : self.round_index].T.tolist())
 
     def run(self) -> MetricsSeries:
@@ -252,9 +251,9 @@ class Lockstep:
     lone replica's makes, in the same order: the pools, drawn in row order; each round the
     values, pairs and selection uniforms, the auction's tie draw and the GA triggers; then
     the triggered GA steps. Selection, bids, offer ranking and the fitness update run once
-    per round on the stacked arrays, and the metric means once per block of rounds, each
-    row reduced on its own. Each round returns every replica's ``RoundRecord``, keeps none
-    and decodes no genome.
+    per round on the stacked arrays, and one ``_fill`` writes every row's series at once,
+    each row reduced on its own. Each round returns every replica's ``RoundRecord``, keeps
+    none and decodes no genome.
     """
 
     def __init__(self, configs: Sequence[SimConfig], rngs: Sequence[np.random.Generator] | None = None):
@@ -281,7 +280,7 @@ class Lockstep:
             rows, cols = pair_indices(n)
             self._pair_at = np.full((n, n), rows.size)
             self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
-            # the codes played and payoffs paid in the rounds since the mean columns were filled
+            # the codes played and payoffs paid in the rounds since the last fill
             self._played = np.empty((size, min(LOG_FLUSH, config.rounds), n), dtype=np.int64)
             self._paid = np.empty(self._played.shape)
         except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
@@ -291,10 +290,10 @@ class Lockstep:
         self._rngs = list(rngs) if rngs is not None else [np.random.default_rng(c.seed) for c in configs]
         widths = [BUILDER_WIDTH] * n_b + [SEARCHER_WIDTH] * n_s
         self.codes[:] = [[random_codes(w, POOL_SIZE, rng) for w in widths] for rng in self._rngs]
-        self.round_index, self.max_residual, self._averaged = 0, [0.0] * size, 0
-        # per row: how many rounds' consensus columns are written, ``_segment_covs`` of every
-        # pool as of the last fill (the first round's first), and each GA step since
-        self._filled, self._pool_covs = [0] * size, []
+        self.round_index, self.max_residual = 0, [0.0] * size
+        # how many rounds' series are filled; per row, ``_segment_covs`` of every pool as of
+        # the last fill (the first round's first), and each GA step since
+        self._filled, self._pool_covs = 0, []
         self._logs: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(size)]
 
     @property
@@ -324,7 +323,7 @@ class Lockstep:
         played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
         played = self.codes.reshape(-1)[played_at]
         betas = bid_ratios(played[:, n_b:], played[:, :n_b])
-        held = t - self._averaged  # this round's place in the block of played codes and payoffs
+        held = t - self._filled  # this round's place in the block of played codes and payoffs
         self._played[:, held] = played
 
         if n_b > 0:
@@ -382,14 +381,11 @@ class Lockstep:
             evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
             self._logs[r].append((t, agent, self.codes[r, agent].copy()))
 
-        # the payment column of round t; the fills write the means and the consensus
+        # the payment column of round t; ``_fill`` writes the means and the consensus
         self.series[:, t, 7] = [record.payment for record in records]
         self.round_index += 1
-        if held + 1 == self._played.shape[1]:
-            self._fill_means()
-        for r, log in enumerate(self._logs):
-            if len(log) >= LOG_FLUSH:
-                self._fill_consensus(r)
+        if held + 1 == self._played.shape[1] or max(map(len, self._logs)) >= LOG_FLUSH:
+            self._fill()
         return records
 
     def run(self) -> None:
@@ -397,10 +393,14 @@ class Lockstep:
         for _ in range(self.config.rounds - self.round_index):
             self.run_round()
 
-    def _fill_means(self) -> None:
-        """Fill every replica's mean columns for the rounds the block holds, from the codes
-        played and the payoffs paid, ``FILL_BLOCK`` bid ratios at a time, and empty it."""
-        start, stop, n_b, n = self._averaged, self.round_index, self.config.n_builders, self.config.n_agents
+    def _fill(self) -> None:
+        """Fill every replica's series to ``round_index`` and empty the block and the logs: the
+        means from the codes played and payoffs paid, ``FILL_BLOCK`` bid ratios at a time; the
+        consensus from one ``cov`` over a replica's logged pools, then each role's ``_means``
+        after each step, a round taking those after its last."""
+        start, stop, n_b, n = self._filled, self.round_index, self.config.n_builders, self.config.n_agents
+        if start == stop:
+            return
         played, paid = (block[:, : stop - start].reshape(-1, n) for block in (self._played, self._paid))
         means = np.empty((len(played), 4))
         step = max(1, FILL_BLOCK // max(n_b * (n - n_b), n))
@@ -409,29 +409,21 @@ class Lockstep:
             betas = bid_ratios(codes[:, n_b:], codes[:, :n_b]).reshape(len(codes), -1)
             means[lo : lo + step] = _means(betas, _ALPHAS[codes[:, :n_b]], payoffs[:, n_b:], payoffs[:, :n_b])
         self.series[:, start:stop, [0, 1, 5, 6]] = means.reshape(len(self._rngs), stop - start, 4)
-        self._averaged = stop
-
-    def _fill_consensus(self, row: int) -> None:
-        """Fill replica ``row``'s consensus columns to ``round_index``: one ``cov`` over its
-        logged pools, then each role's ``_means`` after each step; a round takes those after
-        its last."""
-        start, stop, n_b, log = self._filled[row], self.round_index, self.config.n_builders, self._logs[row]
-        if start == stop:
-            return
-        states, rounds = [self._pool_covs[row]], [t for t, _, _ in log]
-        if log:
-            pairs = _segment_covs(np.array([codes for _, _, codes in log]))
-            for (_, agent, _), pair in zip(log, pairs):
-                states.append(list(states[-1]))
-                states[-1][2 * agent : 2 * agent + 2] = pair
-            log.clear()
-        # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
-        covs = np.array(states)
-        means = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
-        latest = np.searchsorted(rounds, np.arange(start, stop), side="right")
-        self.series[row, start:stop, 2:5] = means[latest]  # the ``CONSENSUS`` columns
-        self._filled[row] = stop
-        self._pool_covs[row] = states[-1]
+        for row, log in enumerate(self._logs):
+            states, rounds = [self._pool_covs[row]], [t for t, _, _ in log]
+            if log:
+                pairs = _segment_covs(np.array([codes for _, _, codes in log]))
+                for (_, agent, _), pair in zip(log, pairs):
+                    states.append(list(states[-1]))
+                    states[-1][2 * agent : 2 * agent + 2] = pair
+                log.clear()
+            # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
+            covs = np.array(states)
+            by_step = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
+            latest = np.searchsorted(rounds, np.arange(start, stop), side="right")
+            self.series[row, start:stop, 2:5] = by_step[latest]  # the ``CONSENSUS`` columns
+            self._pool_covs[row] = states[-1]
+        self._filled = stop
 
 
 def final_window_mean(series, fraction: float) -> float:

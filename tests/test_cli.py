@@ -197,30 +197,38 @@ def test_egta_hpt_file_manifest_echoes_the_ranked_table(tmp_path):
     assert list(manifest["files"]) == ["alpharank.csv"]
 
 
+HPT_HEADER = "n_building,n_sharing,u_building,u_sharing,samples\n"
+BLOCK_2 = ("0,2,,0.0,1", "1,1,0.2,0.1,1", "2,0,0.2,,1")  # a valid 2-agent table
+
+
 @pytest.mark.parametrize(
-    "rows, expected",
+    "header, rows, expected",
     [
-        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
-        ("0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
-        ("0,2,,0.0,1\n1,1,nan,0.1,1\n2,0,0.2,,1\n", "non-finite payoff"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
+        (HPT_HEADER, "0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,nan,0.1,1\n2,0,0.2,,1\n", "non-finite payoff"),
         # a table of fewer than 2 agents was ranked, nu 0.5/0.5, and the run exited 0
-        ("0,0,,,1\n", "at least 2 agents, got 0"),
-        ("0,1,,0.0,1\n1,0,0.2,,1\n", "at least 2 agents, got 1"),
+        (HPT_HEADER, "0,0,,,1\n", "at least 2 agents, got 0"),
+        (HPT_HEADER, "0,1,,0.0,1\n1,0,0.2,,1\n", "at least 2 agents, got 1"),
         # a payoff for a role no agent plays, and a negative sample count, were ranked
-        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,7,1\n", "profile (2, 0) has a payoff for a role no agent plays"),
-        ("0,2,5,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n", "profile (0, 2) has a payoff for a role no agent plays"),
-        ("0,2,,0.0,1\n1,1,0.2,0.1,-7\n2,0,0.2,,1\n", "profile (1, 1) has -7 samples"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,7,1\n", "profile (2, 0) has a payoff for a role no agent plays"),
+        (HPT_HEADER, "0,2,5,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n", "profile (0, 2) has a payoff for a role no agent plays"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,-7\n2,0,0.2,,1\n", "profile (1, 1) has -7 samples"),
         # a negative role count that sums to m was ranked as if the row were absent
-        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n-1,3,0.4,0.3,1\n", "profile (-1, 3) has a role count outside [0, 2]"),
-        ("0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n3,-1,0.4,0.3,1\n", "profile (3, -1) has a role count outside [0, 2]"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n-1,3,0.4,0.3,1\n", "profile (-1, 3) has a role count outside [0, 2]"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,1\n2,0,0.2,,1\n3,-1,0.4,0.3,1\n", "profile (3, -1) has a role count outside [0, 2]"),
+        # a p_c label outside [0, 1] was ranked, and NaN labels, which never match, split the table
+        ("p_c," + HPT_HEADER, "".join(f"7,{row}\n" for row in BLOCK_2), "got p_c 7.0 in"),
+        ("p_c," + HPT_HEADER, "".join(f"-inf,{row}\n" for row in BLOCK_2), "got p_c -inf in"),
+        ("p_c," + HPT_HEADER, "".join(f"nan,{row}\n" for row in BLOCK_2), "got p_c nan in"),
     ],
     ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent",
          "sharing-payoff-without-sharers", "building-payoff-without-builders", "negative-samples",
-         "negative-builders", "negative-sharers"],
+         "negative-builders", "negative-sharers", "pc-past-1", "pc-neg-inf", "pc-nan"],
 )
-def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, rows, expected):
+def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, header, rows, expected):
     hpt_file = tmp_path / "hpt.csv"
-    hpt_file.write_text("n_building,n_sharing,u_building,u_sharing,samples\n" + rows)
+    hpt_file.write_text(header + rows)
     out = tmp_path / "out"
     assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1", "-o", out) == 2
     err = capsys.readouterr().err

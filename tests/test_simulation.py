@@ -493,13 +493,15 @@ def test_a_lockstep_holds_at_most_100_bytes_per_replica_round():
 
 def test_the_mean_fill_holds_a_few_chunks_of_bid_ratios():
     # 127 50x50 rounds play 127 x 2,500 bid ratios, ~5 chunks of 2**16; taken at once,
-    # they and their running sums peak near 10 chunk sizes (5 MB)
-    lockstep = Lockstep([SimConfig(50, 50, LOG_FLUSH, 0.1, seed=0)])
+    # they and their running sums peak near 10 chunk sizes (5 MB). With no GA step no log
+    # fills the series early, so the measured fill holds all 127 rounds.
+    lockstep = Lockstep([SimConfig(50, 50, LOG_FLUSH, 0.1, ga=GAConfig(trigger=0.0), seed=0)])
     for _ in range(LOG_FLUSH - 1):
         lockstep.run_round()
+    assert lockstep._filled == 0
     tracemalloc.start()
     try:
-        lockstep._fill_means()
+        lockstep._fill()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,7 +510,8 @@ def test_the_mean_fill_holds_a_few_chunks_of_bid_ratios():
 
 
 def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
-    # ~1.2 GA steps per replica-round; a round takes pool CoVs only for a full log
+    # ~1.2 GA steps per replica-round; a round takes pool CoVs only at a fill, for a full
+    # log or a full block of rounds
     calls = []
 
     def cov_spy(values):
@@ -521,11 +524,11 @@ def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
     for _ in range(config.rounds):
         lockstep.run_round()
         assert all(len(log) < LOG_FLUSH for log in lockstep._logs)
-    # the first round's CoVs of every replica's pools, then one pool per logged step of
-    # a full log, which one round's steps may take past the flush size
+    # the first round's CoVs of every replica's pools, then one pool per logged step of a
+    # log at a fill, which one round's steps may take past the flush size
     assert calls[0] == 3 and len(calls) > 1
-    assert all(LOG_FLUSH <= steps < LOG_FLUSH + config.n_agents for steps in calls[1:])
-    assert all(0 < filled < config.rounds for filled in lockstep._filled)
+    assert all(steps < LOG_FLUSH + config.n_agents for steps in calls[1:])
+    assert 0 < lockstep._filled < config.rounds
 
 
 def test_sweep_shape_and_determinism_across_jobs():
