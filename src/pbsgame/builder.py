@@ -60,13 +60,13 @@ class Block:
         return reduce(add, (e.value for e in self.entries), 0.0)
 
 
-def rank_offers(values: np.ndarray, bids: np.ndarray, positive: np.ndarray | None = None) -> np.ndarray:
+def rank_offers(values: np.ndarray, bids: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """The greedy scan order of each row of offers, whose columns are in owner order.
 
     Rows of ``values`` and ``bids`` are the offers to one builder. Order:
     positive-value bundles first, then bid descending, ties by lower owner
     (one stable argsort of the key ``-bid``, or ``+inf`` where the value is
-    not positive). ``positive`` is ``values > 0`` when the caller holds it.
+    not positive), where ``positive`` is ``values > 0``.
     Raises unless every bid lies in [0, value].
     """
     values = np.asarray(values, dtype=float)
@@ -75,7 +75,7 @@ def rank_offers(values: np.ndarray, bids: np.ndarray, positive: np.ndarray | Non
     if not valid.all():
         k = tuple(np.argwhere(~valid)[0])
         raise ConfigError(f"bid must be in [0, value], got bid {bids[k]} for value {values[k]}")
-    keys = np.where(values > 0 if positive is None else positive, -bids, np.inf)
+    keys = np.where(positive, -bids, np.inf)
     return keys.argsort(axis=-1, kind="stable")
 
 
@@ -125,8 +125,9 @@ def build_block(
         raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
     offers = sorted(offers, key=itemgetter(0))
     owners, values, bids = zip(*offers) if offers else ((), (), ())
-    order = rank_offers(values, bids).tolist()
-    length = int(np.count_nonzero(np.greater(values, 0)))
+    positive = np.greater(values, 0)
+    order = rank_offers(values, bids, positive).tolist()
+    length = int(np.count_nonzero(positive))
     bits = [1 << a for a in range(len(graph.weights))]
     ranked_owners, ranked_bids = [owners[k] for k in order], [bids[k] for k in order]
     picked, _ = greedy_scan(ranked_owners, ranked_bids, length, graph.conflict_masks, bits, capacity)

@@ -117,8 +117,9 @@ _SIMULATE_KEYS = (*_FIELDS, "ma_window", "snapshot_every")
 _GRID_DEFAULTS = {**_RUN_DEFAULTS, "pc": "0:1:0.1"}  # sweep and egta read pc as a grid
 # egta takes its role counts from --agents, so it has no builders or searchers setting
 _EGTA_KEYS = [key for key in _FIELDS if key not in ("builders", "searchers")]
+_REPS = 10  # replicas per sweep cell and per egta profile
 # egta's run sizes, applied only when it simulates
-_EGTA_RUN_DEFAULTS = {"agents": 10, "reps": 10}
+_EGTA_RUN_DEFAULTS = {"agents": 10, "reps": _REPS}
 
 
 def _convert(key: str, value, convert):
@@ -421,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p_sweep)
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--pc", help="p_c grid (value, list, or start:stop:step)")
-    p_sweep.add_argument("--reps", type=int, default=10)
+    p_sweep.add_argument("--reps", type=int, default=_REPS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_egta = sub.add_parser("egta", help="meta-game payoff table and alpha-rank")

@@ -12,16 +12,16 @@ stationary distribution scores the two roles.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  the benchmark's pool-start counter patches this name
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import Lockstep, SimConfig, _mean
+from .simulation import Lockstep, SimConfig
 from .sweep import MAX_REPLICAS, run_replicas
-
-STRATEGY_NAMES = ("building", "sharing")
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,12 @@ class HeuristicPayoffTable:
             if r.n_building == n_building:
                 return r
         raise ConfigError(f"payoff table has no profile with {n_building} builders")
+
+
+def _mean(values: list[float]) -> float:
+    """Mean of a sum taken strictly left to right: Python's ``sum`` of floats is
+    compensated since 3.12, so its last bit depends on the Python version."""
+    return reduce(operator.add, values) / len(values)
 
 
 def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> HeuristicPayoffTable:

@@ -142,7 +142,6 @@ class MetricsSeries:
     proposer_reward: list[float] = field(default_factory=list)
 
     FIELDS: ClassVar[tuple[str, ...]]  # set from the fields, below the class
-    CONSENSUS = ("cov_alpha", "cov_gamma1", "cov_gamma2")  # filled on read
 
     def __len__(self) -> int:
         return len(self.avg_bid_ratio)
@@ -178,14 +177,8 @@ def moving_average(series, window: int) -> list[float]:
     return out
 
 
-def _mean(values: list[float]) -> float:
-    """Mean of a sum taken strictly left to right: Python's ``sum`` of floats is
-    compensated since 3.12, so its last bit depends on the Python version."""
-    return reduce(operator.add, values) / len(values) if values else math.nan
-
-
 def _means(*parts: np.ndarray) -> np.ndarray:
-    """``_mean`` of each row of each 2-D part as a (rows, parts) array, NaN for width 0: one
+    """The mean of each row of each 2-D part as a (rows, parts) array, NaN for width 0: one
     left-to-right running sum (``np.cumsum``) per part."""
     means = np.full((len(parts[0]), len(parts)), math.nan)
     for k, part in enumerate(parts):
@@ -421,23 +414,19 @@ class Lockstep:
             covs = np.array(states)
             by_step = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
             latest = np.searchsorted(rounds, np.arange(start, stop), side="right")
-            self.series[row, start:stop, 2:5] = by_step[latest]  # the ``CONSENSUS`` columns
+            self.series[row, start:stop, 2:5] = by_step[latest]  # the ``cov_*`` columns
             self._pool_covs[row] = states[-1]
         self._filled = stop
 
 
-def final_window_mean(series, fraction: float) -> float:
-    """Mean over the trailing fraction of a series, NaN-aware."""
-    values = list(series)
-    start = max(0, len(values) - max(1, int(len(values) * fraction)))
-    tail = [v for v in values[start:] if not math.isnan(v)]
-    return _mean(tail)
-
-
 def summarize(sim: Simulation) -> dict[str, float]:
-    """Post-convergence averages over the final FINAL_WINDOW of the rounds."""
-    m = sim.metrics
-    names = ("avg_bid_ratio", "avg_rebate_ratio", "searcher_reward", "builder_reward",
-             "proposer_reward", *MetricsSeries.CONSENSUS)
-    means = {name.removeprefix("avg_"): final_window_mean(getattr(m, name), FINAL_WINDOW) for name in names}
-    return {**means, "max_residual": sim.max_residual}
+    """``max_residual`` and, keyed by its name without ``avg_``, each series' left-to-right mean over
+    the last ``max(1, int(round_index * FINAL_WINDOW))`` rounds: NaN before the first round, and for
+    a role nobody plays, whose series is NaN in every round (none is NaN in only some)."""
+    t, names = sim.round_index, [name.removeprefix("avg_") for name in MetricsSeries.FIELDS]
+    if t == 0:
+        return {**dict.fromkeys(names, math.nan), "max_residual": sim.max_residual}
+    sim._lockstep._fill()
+    window = sim._lockstep.series[sim._row, t - max(1, int(t * FINAL_WINDOW)) : t]
+    means = np.add.accumulate(window, axis=0)[-1] / len(window)
+    return {**dict(zip(names, means.tolist())), "max_residual": sim.max_residual}

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import subprocess
 import sys
@@ -92,3 +93,14 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert run_fresh(probe) == "[]"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name has one home: a second caller moves it there or makes it public
+    borrowed = []
+    for path in sorted(Path(pbsgame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                borrowed += [f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert borrowed == []

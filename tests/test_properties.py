@@ -18,7 +18,7 @@ from pbsgame.codec import bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, evolve, roulette, select_strategy
 from pbsgame.market import InteractionGraph, Scenario, conflict_masks, draw_scenario
-from pbsgame.simulation import Lockstep, SimConfig, Simulation
+from pbsgame.simulation import Lockstep, MetricsSeries, SimConfig, Simulation
 from reference import given_scenario
 
 # a few repeated levels make equal values and bids (and zero bid fractions) common
@@ -122,6 +122,34 @@ def test_settlement_conserves_value(n_builders, n_searchers, p_c, capacity, seed
     outcome = run_auction({j: b.total_bid for j, b in blocks.items()}, rng, blocks.__getitem__)
     settlement = settle(outcome, n, float(alphas[outcome.winner]))
     assert conservation_residual(settlement.total, outcome.winning_block.total_value) <= 1e-12
+
+
+# the series a role's absence leaves without a value
+NO_BUILDER = {"avg_bid_ratio", "avg_rebate_ratio", "cov_alpha", "builder_reward"}
+NO_SEARCHER = {"avg_bid_ratio", "cov_gamma1", "cov_gamma2", "searcher_reward"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roles=st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(lambda roles: sum(roles) >= 2),
+    rounds=st.integers(1, 150),
+    p_c=st.floats(0.0, 1.0),
+    trigger=st.sampled_from([0.01, 1.0]),
+    capacity=st.one_of(st.none(), st.just(1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_series_is_nan_in_every_round_or_none_and_only_for_an_absent_role(
+    roles, rounds, p_c, trigger, capacity, seed
+):
+    # so a window mean needs no NaN filter: a series' mean is NaN exactly when its role is absent
+    n_builders, n_searchers = roles
+    config = SimConfig(n_builders, n_searchers, rounds, p_c, ga=GAConfig(trigger=trigger),
+                       capacity=capacity, seed=seed)
+    metrics = Simulation(config).run()
+    absent = (NO_BUILDER if n_builders == 0 else set()) | (NO_SEARCHER if n_searchers == 0 else set())
+    for name in MetricsSeries.FIELDS:
+        nan = np.isnan(getattr(metrics, name))
+        assert nan.all() if name in absent else not nan.any(), name
 
 
 @st.composite
@@ -281,7 +309,8 @@ def wide_offers(draw):
 def test_scan_equals_one_builder_greedy_across_mask_words(instance):
     bundles, graph, capacity = instance
     offered = offers(bundles)
-    ranked = [offered[k] for k in rank_offers([e.value for e in offered], [e.bid for e in offered]).tolist()]
+    values, bids = [e.value for e in offered], [e.bid for e in offered]
+    ranked = [offered[k] for k in rank_offers(values, bids, np.greater(values, 0)).tolist()]
     length = len([e for e in offered if e.value > 0])
     bits = [1 << a for a in range(len(graph.weights))]
     picked, total = greedy_scan(

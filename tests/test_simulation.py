@@ -29,7 +29,6 @@ from pbsgame.simulation import (
     SimConfig,
     Simulation,
     cov,
-    final_window_mean,
     moving_average,
     summarize,
 )
@@ -68,10 +67,27 @@ def test_moving_average_window_and_purity():
     assert series == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def summary_of(rounds: int, column: str, values) -> dict[str, float]:
+    """``summarize`` of a finished run whose ``column`` series reads ``values`` in its last rounds."""
+    lockstep = Lockstep([small_config(rounds=rounds)])
+    lockstep.run()
+    lockstep.series[0, rounds - len(values) :, MetricsSeries.FIELDS.index(column)] = values
+    return summarize(lockstep.replicas[0])
+
+
 def test_final_window_mean():
-    series = list(range(10))
-    assert final_window_mean(series, 0.2) == pytest.approx(8.5)
-    assert final_window_mean([math.nan, 1.0], 1.0) == pytest.approx(1.0)
+    # the window is the last max(1, int(0.1 * rounds)) rounds: values 0..rounds-1 average
+    # the window's first and last round
+    for rounds in (1, 9, 10, 25, 50):
+        width = max(1, int(0.1 * rounds))
+        summary = summary_of(rounds, "proposer_reward", range(rounds))
+        assert summary["proposer_reward"] == (2 * rounds - width - 1) / 2, rounds
+
+
+def test_a_replica_with_no_round_played_summarizes_to_nan():
+    summary = summarize(Simulation(small_config()))
+    assert summary.pop("max_residual") == 0.0
+    assert all(math.isnan(value) for value in summary.values())
 
 
 def test_config_validation():
@@ -209,9 +225,7 @@ def test_conservation_guard_scales_with_block_value():
 def test_summarize_keys():
     sim = Simulation(small_config(rounds=30))
     sim.run()
-    summary = summarize(sim)
-    for metric in SWEEP_METRICS:
-        assert metric in summary
+    assert set(summarize(sim)) == set(SWEEP_METRICS)
 
 
 def test_a_round_decodes_no_genome(monkeypatch, tmp_path):
@@ -389,8 +403,8 @@ def test_configs_are_hashable_and_equal_configs_hash_equal():
 
 
 def test_window_means_add_left_to_right():
-    # a compensated sum (Python's ``sum`` since 3.12) would keep the 1.0: 1/3
-    assert final_window_mean([1e16, 1.0, -1e16], 1.0) == 0.0
+    # 30 rounds: a window of 3; a compensated sum (Python's ``sum`` since 3.12) would keep the 1.0: 1/3
+    assert summary_of(30, "avg_bid_ratio", [1e16, 1.0, -1e16])["bid_ratio"] == 0.0
 
 
 def compensated_sum(items, start=0):
