@@ -17,9 +17,9 @@ the same calls in the same order however many replicas step with it, so a
 
 No round reads a metric series, so a round writes only what was played and paid: its
 payment, and each replica's played codes and payoffs into a block of ``LOG_FLUSH``
-rounds, and it logs the codes each GA step leaves. One fill writes every replica's means
-and consensus (the ``cov_*`` series) from the block and the logs, when the block is full,
-when a log holds ``LOG_FLUSH`` steps, and when ``Simulation.metrics`` is read.
+rounds, and it logs the codes each GA step leaves in the batch's one log. One fill writes
+every replica's means and consensus (the ``cov_*`` series) from both, when the block is
+full, when the log holds ``LOG_FLUSH`` steps a replica, and when ``Simulation.metrics`` is read.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _RESIDUAL_HARD_LIMIT = 1e-12
 # fraction of rounds treated as post-convergence by ``summarize``
 FINAL_WINDOW = 0.1
 _ALPHAS = np.array(BUILDER_ALPHAS)
-# GA steps a replica logs, and rounds a lockstep holds, before their series are filled without a read
+# GA steps per replica a lockstep logs, and rounds it holds, before their series are filled without a read
 LOG_FLUSH = 128
 FILL_BLOCK = 1 << 16  # bid ratios a fill takes per chunk of its means: 512 KiB of floats
 
@@ -187,19 +187,19 @@ def _means(*parts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _segment_covs(codes: np.ndarray) -> list[list[float]]:
+def _segment_covs(codes: np.ndarray) -> np.ndarray:
     """Per leading row of ``(rows, ..., POOL_SIZE)`` codes, the ``cov`` of each pool's high
-    and then of its low five bits, for every pool in turn."""
+    and then of its low five bits, for every pool in turn: a ``(rows, 2 * pools)`` array."""
     covs = cov(np.stack((codes >> SEGMENT_BITS, codes & SEGMENT_MAX), axis=-2))
-    return covs.reshape(len(codes), -1).tolist()
+    return covs.reshape(len(codes), -1)
 
 
 class Simulation:
     """One replica, a view of row r of a ``Lockstep``: its config, RNG and pool rows (``codes[a]``
     and ``fitness[a]`` are agent a's). Stepping a batch's replica steps the whole batch."""
 
-    def __new__(cls, config: SimConfig, rng: np.random.Generator | None = None) -> Simulation:
-        return Lockstep([config], None if rng is None else [rng]).replicas[0]
+    def __new__(cls, config: SimConfig) -> Simulation:
+        return Lockstep([config]).replicas[0]
 
     @property
     def round_index(self) -> int:
@@ -244,9 +244,9 @@ class Lockstep:
     lone replica's makes, in the same order: the pools, drawn in row order; each round the
     values, pairs and selection uniforms, the auction's tie draw and the GA triggers; then
     the triggered GA steps. Selection, bids, offer ranking and the fitness update run once
-    per round on the stacked arrays, and one ``_fill`` writes every row's series at once,
-    each row reduced on its own. Each round returns every replica's ``RoundRecord``, keeps
-    none and decodes no genome.
+    per round on the stacked arrays, and one ``_fill`` writes every row's series at once from
+    one log of GA steps and one array of pool CoVs, each row reduced on its own. Each round
+    returns every replica's ``RoundRecord``, keeps none and decodes no genome.
     """
 
     def __init__(self, configs: Sequence[SimConfig], rngs: Sequence[np.random.Generator] | None = None):
@@ -284,10 +284,10 @@ class Lockstep:
         widths = [BUILDER_WIDTH] * n_b + [SEARCHER_WIDTH] * n_s
         self.codes[:] = [[random_codes(w, POOL_SIZE, rng) for w in widths] for rng in self._rngs]
         self.round_index, self.max_residual = 0, [0.0] * size
-        # how many rounds' series are filled; per row, ``_segment_covs`` of every pool as of
-        # the last fill (the first round's first), and each GA step since
-        self._filled, self._pool_covs = 0, []
-        self._logs: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(size)]
+        # how many rounds' series are filled; ``_segment_covs`` of every pool as of the last
+        # fill (the first round's first), and each GA step since as ``(round, row, agent, codes)``
+        self._filled, self._covs = 0, None
+        self._steps: list[tuple[int, int, int, np.ndarray]] = []
 
     @property
     def replicas(self) -> list[Simulation]:
@@ -368,16 +368,16 @@ class Lockstep:
         fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * self._paid[:, held]
 
         if t == 0:
-            self._pool_covs = _segment_covs(self.codes)
+            self._covs = _segment_covs(self.codes)
         for r, agent in zip(*(k.tolist() for k in (triggers < cfg.ga.trigger).nonzero())):
             width = BUILDER_WIDTH if agent < n_b else SEARCHER_WIDTH
             evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
-            self._logs[r].append((t, agent, self.codes[r, agent].copy()))
+            self._steps.append((t, r, agent, self.codes[r, agent].copy()))
 
         # the payment column of round t; ``_fill`` writes the means and the consensus
         self.series[:, t, 7] = [record.payment for record in records]
         self.round_index += 1
-        if held + 1 == self._played.shape[1] or max(map(len, self._logs)) >= LOG_FLUSH:
+        if held + 1 == self._played.shape[1] or len(self._steps) >= LOG_FLUSH * size:
             self._fill()
         return records
 
@@ -387,10 +387,10 @@ class Lockstep:
             self.run_round()
 
     def _fill(self) -> None:
-        """Fill every replica's series to ``round_index`` and empty the block and the logs: the
+        """Fill every replica's series to ``round_index`` and empty the block and the log: the
         means from the codes played and payoffs paid, ``FILL_BLOCK`` bid ratios at a time; the
-        consensus from one ``cov`` over a replica's logged pools, then each role's ``_means``
-        after each step, a round taking those after its last."""
+        consensus from one ``cov`` of every logged pool, then one ``_means`` over each row's
+        state at the start and after each of its steps, a round taking its row's latest."""
         start, stop, n_b, n = self._filled, self.round_index, self.config.n_builders, self.config.n_agents
         if start == stop:
             return
@@ -402,20 +402,18 @@ class Lockstep:
             betas = bid_ratios(codes[:, n_b:], codes[:, :n_b]).reshape(len(codes), -1)
             means[lo : lo + step] = _means(betas, _ALPHAS[codes[:, :n_b]], payoffs[:, n_b:], payoffs[:, :n_b])
         self.series[:, start:stop, [0, 1, 5, 6]] = means.reshape(len(self._rngs), stop - start, 4)
-        for row, log in enumerate(self._logs):
-            states, rounds = [self._pool_covs[row]], [t for t, _, _ in log]
-            if log:
-                pairs = _segment_covs(np.array([codes for _, _, codes in log]))
-                for (_, agent, _), pair in zip(log, pairs):
-                    states.append(list(states[-1]))
-                    states[-1][2 * agent : 2 * agent + 2] = pair
-                log.clear()
-            # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
-            covs = np.array(states)
-            by_step = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
-            latest = np.searchsorted(rounds, np.arange(start, stop), side="right")
-            self.series[row, start:stop, 2:5] = by_step[latest]  # the ``cov_*`` columns
-            self._pool_covs[row] = states[-1]
+        states, steps = [self._covs.copy()], self._steps
+        pairs = _segment_covs(np.array([codes for *_, codes in steps])) if steps else ()
+        for (_, row, agent, _), pair in zip(steps, pairs):
+            self._covs[row, 2 * agent : 2 * agent + 2] = pair
+            states.append(self._covs[row].copy())
+        covs = np.vstack(states)
+        # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
+        by_state = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
+        self.series[:, start:stop, 2:5] = by_state[: len(self._rngs), None]  # the ``cov_*`` columns
+        for (t, row, _, _), row_means in zip(steps, by_state[len(self._rngs) :]):
+            self.series[row, t:stop, 2:5] = row_means  # from its round on, until a later step's
+        steps.clear()
         self._filled = stop
 
 

@@ -18,7 +18,8 @@ from pbsgame.egta import (
     stationary_distribution,
 )
 from pbsgame.errors import ConfigError
-from pbsgame.simulation import SimConfig, Simulation, summarize
+from pbsgame.evolution import GAConfig
+from pbsgame.simulation import Lockstep, SimConfig, summarize
 from pbsgame.sweep import replica_rng
 
 
@@ -261,7 +262,7 @@ def test_no_builder_row_equals_simulating_the_profile(m, p_c, seed):
     summaries = []
     for rep in range(reps):  # the profile's replicas, seeded as estimate_hpt seeds them
         config = SimConfig(n_builders=0, n_searchers=m, rounds=60, p_c=p_c, seed=seed)
-        sim = Simulation(config, rng=replica_rng(seed, 0, rep))
+        sim = Lockstep([config], [replica_rng(seed, 0, rep)]).replicas[0]
         sim.run()
         summaries.append(summarize(sim))
     simulated = HptRow(
@@ -281,7 +282,7 @@ def test_profile_payoffs_add_left_to_right_at_ten_reps():
         config = dataclasses.replace(template, n_builders=n1, n_searchers=3 - n1)
         totals = [0.0, 0.0]
         for rep in range(reps):
-            sim = Simulation(config, rng=replica_rng(5, n1, rep))
+            sim = Lockstep([config], [replica_rng(5, n1, rep)]).replicas[0]
             sim.run()
             summary = summarize(sim)
             totals = [totals[0] + summary["builder_reward"], totals[1] + summary["searcher_reward"]]
@@ -299,6 +300,15 @@ def test_all_builder_row_is_the_same_at_every_p_c():
         assert repr(getattr(low.row(3), field.name)) == repr(getattr(high.row(3), field.name)), field.name
     # a profile with searchers does see p_c
     assert low.row(1) != high.row(1)
+
+
+def test_all_builder_row_is_bit_identical_across_p_c_with_ga_steps():
+    # the same pin with a GA step in most rounds of each replica, and at both ends of the
+    # range of p_c
+    template = SimConfig(n_builders=1, n_searchers=1, rounds=60, p_c=0.0, seed=7, ga=GAConfig(trigger=0.3))
+    rows = [estimate_hpt(3, dataclasses.replace(template, p_c=p_c), reps=3).row(3) for p_c in (0.0, 0.37, 1.0)]
+    assert rows[0].u_building is not None and rows[0].samples == 3
+    assert [repr(row) for row in rows[1:]] == [repr(rows[0])] * 2
 
 
 def test_hpt_rejects_duplicate_profiles():

@@ -262,7 +262,7 @@ def test_run_replicas_returns_results_in_task_order(jobs):
     ]
     expected = []
     for config, master_seed, indices in tasks:
-        sim = Simulation(config, rng=replica_rng(master_seed, *indices))
+        sim = Lockstep([config], [replica_rng(master_seed, *indices)]).replicas[0]
         sim.run()
         expected.append(summarize(sim))
     assert run_replicas(tasks, jobs) == expected
@@ -488,7 +488,7 @@ def test_a_round_past_the_configured_rounds_is_refused(replicas):
 
 def test_a_lockstep_holds_at_most_100_bytes_per_replica_round():
     # eight float64 series take 64 B a replica-round; eight lists of Python floats took
-    # ~32 B a value. A read fills the consensus series and empties the GA logs.
+    # ~32 B a value. A read fills the consensus series and empties the GA log.
     def held(rounds):
         config = small_config(rounds=rounds)
         tracemalloc.start()
@@ -537,12 +537,33 @@ def test_a_run_without_reads_keeps_each_ga_log_bounded(monkeypatch):
     lockstep = Lockstep([config] * 3)
     for _ in range(config.rounds):
         lockstep.run_round()
-        assert all(len(log) < LOG_FLUSH for log in lockstep._logs)
-    # the first round's CoVs of every replica's pools, then one pool per logged step of a
-    # log at a fill, which one round's steps may take past the flush size
+        assert len(lockstep._steps) < LOG_FLUSH * 3
+    # the first round's CoVs of every replica's pools, then one pool per logged step of the
+    # batch at a fill, which one round's steps may take past the flush size
     assert calls[0] == 3 and len(calls) > 1
-    assert all(steps < LOG_FLUSH + config.n_agents for steps in calls[1:])
+    assert all(steps < LOG_FLUSH * 3 + 3 * config.n_agents for steps in calls[1:])
     assert 0 < lockstep._filled < config.rounds
+
+
+def test_a_fill_takes_every_rows_consensus_in_one_cov_and_one_means(monkeypatch):
+    # trigger 1.0: every pool of every replica steps in every round, so the log holds all
+    # three rows' steps; the fill's means of 6 played rows are one chunk of bid ratios
+    lockstep = Lockstep([small_config(rounds=60, ga=GAConfig(trigger=1.0), seed=s) for s in range(3)])
+    for _ in range(2):
+        lockstep.run_round()
+    calls = []
+
+    def spy(function):
+        def call(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return call
+
+    for name in ("cov", "_means"):
+        monkeypatch.setattr(f"pbsgame.simulation.{name}", spy(getattr(pbsgame.simulation, name)))
+    lockstep._fill()
+    assert sorted(calls) == ["_means", "_means", "cov"]
+    assert lockstep._filled == 2 and not np.isnan(lockstep.series[:, :2]).any()
 
 
 def test_sweep_shape_and_determinism_across_jobs():

@@ -196,7 +196,7 @@ def task_lists(draw):
 def test_batched_replicas_equal_one_simulation_per_task(jobs, tasks):
     expected = []
     for config, master_seed, indices in tasks:
-        sim = Simulation(config, rng=replica_rng(master_seed, *indices))
+        sim = Lockstep([config], [replica_rng(master_seed, *indices)]).replicas[0]
         sim.run()
         expected.append(summarize(sim))
     assert same(run_replicas(tasks, jobs), expected)
