@@ -83,7 +83,8 @@ def estimate_hpt(m: int, template: SimConfig, reps: int, jobs: int = 1) -> Heuri
 
     Replica seeds are SeedSequence([template.seed, n_building, rep]), with no
     p_c index: tables estimated at different p_c use common random numbers,
-    so equal p_c values give equal tables.
+    so equal p_c values give equal tables. The profiles are one population
+    (role split per row), so ``run_replicas`` batches them together.
     """
     if m < 2:
         raise ConfigError(f"meta-game needs at least 2 agents, got {m}")

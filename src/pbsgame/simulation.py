@@ -8,9 +8,9 @@ second-price auction, only the winner's block is built and settled, and
 realized payoffs feed back into strategy fitness. Occasionally a pool is
 rebuilt by the GA.
 
-``Lockstep`` owns R replicas of one shape, on ``(R, agents, POOL_SIZE)`` arrays
-of genome codes and fitness, with all their round state, and plays each round
-of them together; a ``Simulation`` views one row, and one built alone is the
+``Lockstep`` owns R replicas of one population (role split per row), on
+``(R, agents, POOL_SIZE)`` arrays of genome codes and fitness, with all their
+round state, and plays each round of them together; a ``Simulation`` views one row, and one built alone is the
 one replica of its own ``Lockstep``. Every replica owns a single RNG and makes
 the same calls in the same order however many replicas step with it, so a
 (config, seed) pair reproduces bit-identical results.
@@ -94,8 +94,9 @@ class SimConfig:
 
     @property
     def shape(self) -> "SimConfig":
-        """This config but for ``p_c`` and ``seed``: replicas of one shape step in lockstep."""
-        return replace(self, p_c=0.0, seed=0)
+        """This config but for its role split, ``p_c`` and ``seed``: replicas of one population
+        (role split per row) step in lockstep."""
+        return replace(self, n_builders=0, n_searchers=self.n_agents, p_c=0.0, seed=0)
 
     @property
     def n_agents(self) -> int:
@@ -177,14 +178,15 @@ def moving_average(series, window: int) -> list[float]:
     return out
 
 
-def _means(*parts: np.ndarray) -> np.ndarray:
-    """The mean of each row of each 2-D part as a (rows, parts) array, NaN for width 0: one
-    left-to-right running sum (``np.cumsum``) per part."""
-    means = np.full((len(parts[0]), len(parts)), math.nan)
+def _means(counts: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """The mean of each row of each 2-D part as a (rows, parts) array: one left-to-right running
+    sum (``np.cumsum``) over the row, whose padding is 0.0 (``x + 0.0 == x``, so the sum keeps the
+    bits of its terms alone), divided by the row's count of terms, ``counts[:, k]``; NaN for 0."""
+    sums = np.zeros(counts.shape)
     for k, part in enumerate(parts):
         if part.shape[1]:
-            means[:, k] = np.add.accumulate(part, axis=1)[:, -1] / part.shape[1]
-    return means
+            sums[:, k] = np.add.accumulate(part, axis=1)[:, -1]
+    return np.divide(sums, counts, out=np.full(counts.shape, math.nan), where=counts > 0)
 
 
 def _segment_covs(codes: np.ndarray) -> np.ndarray:
@@ -235,8 +237,8 @@ class Simulation:
 
 
 class Lockstep:
-    """R replicas of one ``SimConfig.shape``, all their round state, and the round that
-    plays them all at once.
+    """R replicas of one population (role split per row): configs of one ``SimConfig.shape``,
+    all their round state, and the round that plays them all at once.
 
     Pool state is two ``(R, agents, POOL_SIZE)`` arrays, genome codes and fitness, and the
     series one ``(R, rounds, 8)`` float64 array in ``MetricsSeries.FIELDS`` order. Row r's
@@ -245,29 +247,43 @@ class Lockstep:
     values, pairs and selection uniforms, the auction's tie draw and the GA triggers; then
     the triggered GA steps. Selection, bids, offer ranking and the fitness update run once
     per round on the stacked arrays, and one ``_fill`` writes every row's series at once from
-    one log of GA steps and one array of pool CoVs, each row reduced on its own. Each round
-    returns every replica's ``RoundRecord``, keeps none and decodes no genome.
+    one log of GA steps and one array of pool CoVs, each row reduced on its own. Builder
+    columns run to the most builders of a row and searcher columns from the fewest; a row
+    scans and auctions its own builders only, and a padded offer is worth a constant 0, so
+    it ranks last and is never scanned. Each round returns every replica's ``RoundRecord``,
+    keeps none and decodes no genome.
     """
 
     def __init__(self, configs: Sequence[SimConfig], rngs: Sequence[np.random.Generator] | None = None):
         self.config = config = configs[0]
         if any(other.shape != config.shape for other in configs):
-            raise ConfigError("lockstep replicas must differ in p_c and seed only")
-        size = len(configs)
-        n, n_b, n_s = config.n_agents, config.n_builders, config.n_searchers
+            raise ConfigError("lockstep replicas must differ in role split, p_c and seed only")
+        size, n = len(configs), config.n_agents
+        # row r's builders are agents 0..n_b[r]-1; builder columns run to the most builders
+        # of a row, searcher columns from the fewest
+        self._n_b = [c.n_builders for c in configs]
+        lo, hi = min(self._n_b), max(self._n_b)
         try:
+            self._builds = np.arange(n) < np.array(self._n_b)[:, None]
             self.series = np.empty((size, config.rounds, len(MetricsSeries.FIELDS)))
             self.codes = np.zeros((size, n, POOL_SIZE), dtype=np.int64)
             self.fitness = np.zeros(self.codes.shape)
             self._rows = POOL_SIZE * np.arange(size * n).reshape(size, n)  # flat index of pool [r, a]
-            width = n_s + 1
-            # offer [r, j, k]: builder j's own bundle at k = 0, then searcher n_b + k - 1
-            owners = np.empty((size, n_b, width), dtype=np.intp)
-            owners[:] = range(n_b - 1, n)
-            owners[:, :, 0] = range(n_b)
+            # a round's values, and a constant 0 in each row's column n for the padded offers
+            self._values = np.zeros((size, n + 1))
+            width = n - lo + 1
+            # offer [r, j, k]: builder j's own bundle at k = 0, then agent lo + k - 1's; a
+            # builder's slot and every slot of a row's non-builder j are padding, worth 0
+            owners = np.empty((size, hi, width), dtype=np.intp)
+            owners[:] = range(lo - 1, n)
+            owners[:, :, 0] = range(hi)
             self._owners = owners.ravel()
-            self._offer_at = owners + n * np.arange(size).reshape(size, 1, 1)  # its value's flat index
-            self._offsets = width * np.arange(size * n_b).reshape(size, n_b, 1)
+            offered = np.ones(owners.shape, dtype=bool)
+            offered[:, :, 1:] = ~self._builds[:, None, lo:]
+            offered &= self._builds[:, :hi, None]
+            # each offer's value's flat index in ``_values``
+            self._offer_at = np.where(offered, owners, n) + (n + 1) * np.arange(size).reshape(size, 1, 1)
+            self._offsets = width * np.arange(size * hi).reshape(size, hi, 1)
             # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
             # column, read on the diagonal, is False
             rows, cols = pair_indices(n)
@@ -281,8 +297,10 @@ class Lockstep:
         self._bits = [1 << a for a in range(n)]
         self._configs = list(configs)
         self._rngs = list(rngs) if rngs is not None else [np.random.default_rng(c.seed) for c in configs]
-        widths = [BUILDER_WIDTH] * n_b + [SEARCHER_WIDTH] * n_s
-        self.codes[:] = [[random_codes(w, POOL_SIZE, rng) for w in widths] for rng in self._rngs]
+        self.codes[:] = [
+            [random_codes(BUILDER_WIDTH if build else SEARCHER_WIDTH, POOL_SIZE, rng) for build in builds]
+            for builds, rng in zip(self._builds.tolist(), self._rngs)
+        ]
         self.round_index, self.max_residual = 0, [0.0] * size
         # how many rounds' series are filled; ``_segment_covs`` of every pool as of the last
         # fill (the first round's first), and each GA step since as ``(round, row, agent, codes)``
@@ -302,49 +320,50 @@ class Lockstep:
     def run_round(self) -> list[RoundRecord]:
         """Play one round of every replica; returns each replica's ``RoundRecord``, in row order."""
         cfg, size, t = self.config, len(self._rngs), self.round_index
-        n, n_b = cfg.n_agents, cfg.n_builders
+        n, lo, hi = cfg.n_agents, min(self._n_b), max(self._n_b)
         if t >= cfg.rounds:
             raise ConfigError(f"all {cfg.rounds} rounds are played")
-        values, uniforms = np.empty((2, size, n))
+        values, uniforms = self._values, np.empty((size, n))
         pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
         for r, (config, rng) in enumerate(zip(self._configs, self._rngs)):
-            values[r], pairs[r, :-1] = draw_round(n, config.p_c, cfg.value_rate, rng)
+            values[r, :n], pairs[r, :-1] = draw_round(n, config.p_c, cfg.value_rate, rng)
             uniforms[r] = rng.random(n)
         masks = conflict_masks(pairs[:, self._pair_at])
 
         # strategy selection, one softmax draw per agent
         played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
         played = self.codes.reshape(-1)[played_at]
-        betas = bid_ratios(played[:, n_b:], played[:, :n_b])
+        # a searcher's code in a builder column would index past the builder genomes
+        betas = bid_ratios(played[:, lo:], played[:, :hi] & SEGMENT_MAX)
         held = t - self._filled  # this round's place in the block of played codes and payoffs
         self._played[:, held] = played
 
-        if n_b > 0:
-            # row [r, j]: the offers to builder j in owner order, its own bundle (bid at
-            # its whole value) then every searcher's; ranked as flat indices, each row's
-            # scan bounded by its count of positive values, which rank first. An offer's
-            # value is its owner's draw, so the winner's entries read it from ``values``.
-            offer_values = values.reshape(-1)[self._offer_at]
-            offer_bids = offer_values.copy()
-            offer_bids[:, :, 1:] *= betas.transpose(0, 2, 1)
-            positive = offer_values > 0
-            ranked = rank_offers(offer_values, offer_bids, positive) + self._offsets
-            offers = zip(
-                self._owners[ranked].tolist(),
-                offer_bids.ravel()[ranked].tolist(),
-                np.add.reduce(positive, axis=-1, dtype=np.intp).tolist(),
-                masks,
-                values.tolist(),
-            )
+        # row [r, j]: the offers to builder j in owner order, its own bundle (bid at its
+        # whole value) then every searcher's, padded to the widest row with offers worth 0;
+        # ranked as flat indices, each row's scan bounded by its count of positive values,
+        # which rank first, so no padding is scanned. An offer's value is its owner's draw,
+        # so the winner's entries read it from ``values``.
+        offer_values = values.reshape(-1)[self._offer_at]
+        offer_bids = offer_values.copy()
+        offer_bids[:, :, 1:] *= betas.transpose(0, 2, 1)
+        positive = offer_values > 0
+        ranked = rank_offers(offer_values, offer_bids, positive) + self._offsets
+        offers = zip(
+            self._owners[ranked].tolist(),
+            offer_bids.ravel()[ranked].tolist(),
+            np.add.reduce(positive, axis=-1, dtype=np.intp).tolist(),
+            masks,
+            values.tolist(),
+        )
         records = []
         triggers = np.empty((size, n))
-        for r, rng in enumerate(self._rngs):
+        for r, (rng, n_b, its_offers) in enumerate(zip(self._rngs, self._n_b, offers)):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
             if n_b > 0:
-                owners, bids, lengths, bundle_masks, worths = next(offers)
+                owners, bids, lengths, bundle_masks, worths = its_offers
                 scans = [
                     greedy_scan(*row, bundle_masks, self._bits, cfg.capacity)
-                    for row in zip(owners, bids, lengths)
+                    for row in zip(owners, bids, lengths[:n_b])
                 ]
                 winner, payment = second_price([total for _, total in scans], rng)
                 picked, total = scans[winner]
@@ -370,7 +389,7 @@ class Lockstep:
         if t == 0:
             self._covs = _segment_covs(self.codes)
         for r, agent in zip(*(k.tolist() for k in (triggers < cfg.ga.trigger).nonzero())):
-            width = BUILDER_WIDTH if agent < n_b else SEARCHER_WIDTH
+            width = BUILDER_WIDTH if agent < self._n_b[r] else SEARCHER_WIDTH
             evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
             self._steps.append((t, r, agent, self.codes[r, agent].copy()))
 
@@ -386,32 +405,50 @@ class Lockstep:
         for _ in range(self.config.rounds - self.round_index):
             self.run_round()
 
+    def _roles(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Of each listed replica row: its builder count, whether each builder column builds
+        and whether each searcher column searches."""
+        lo, hi = min(self._n_b), max(self._n_b)
+        return np.array(self._n_b)[rows], self._builds[rows, :hi], ~self._builds[rows, lo:]
+
     def _fill(self) -> None:
         """Fill every replica's series to ``round_index`` and empty the block and the log: the
         means from the codes played and payoffs paid, ``FILL_BLOCK`` bid ratios at a time; the
         consensus from one ``cov`` of every logged pool, then one ``_means`` over each row's
-        state at the start and after each of its steps, a round taking its row's latest."""
-        start, stop, n_b, n = self._filled, self.round_index, self.config.n_builders, self.config.n_agents
+        state at the start and after each of its steps, a round taking its row's latest. Each
+        role's means take its columns, the other role's entries in them set to 0."""
+        start, stop, n = self._filled, self.round_index, self.config.n_agents
         if start == stop:
             return
+        size, lo, hi = len(self._rngs), min(self._n_b), max(self._n_b)
         played, paid = (block[:, : stop - start].reshape(-1, n) for block in (self._played, self._paid))
+        n_b, builds, sells = self._roles(np.arange(size).repeat(stop - start))
+        counts = np.stack([(n - n_b) * n_b, n_b, n - n_b, n_b], axis=1)
         means = np.empty((len(played), 4))
-        step = max(1, FILL_BLOCK // max(n_b * (n - n_b), n))
-        for lo in range(0, len(played), step):
-            codes, payoffs = played[lo : lo + step], paid[lo : lo + step]
-            betas = bid_ratios(codes[:, n_b:], codes[:, :n_b]).reshape(len(codes), -1)
-            means[lo : lo + step] = _means(betas, _ALPHAS[codes[:, :n_b]], payoffs[:, n_b:], payoffs[:, :n_b])
-        self.series[:, start:stop, [0, 1, 5, 6]] = means.reshape(len(self._rngs), stop - start, 4)
+        step = max(1, FILL_BLOCK // max((n - lo) * hi, n))
+        for a in range(0, len(played), step):
+            codes, payoffs, b, s = (x[a : a + step] for x in (played, paid, builds, sells))
+            builder_codes = codes[:, :hi] & SEGMENT_MAX
+            betas = bid_ratios(codes[:, lo:], builder_codes)
+            betas *= s[:, :, None] & b[:, None]  # bid ratios lie in [0, 1]: exact, and no -0.0
+            alphas = np.where(b, _ALPHAS[builder_codes], 0.0)
+            rewards = np.where(s, payoffs[:, lo:], 0.0), np.where(b, payoffs[:, :hi], 0.0)
+            betas = betas.reshape(len(codes), -1)
+            means[a : a + step] = _means(counts[a : a + step], betas, alphas, *rewards)
+        self.series[:, start:stop, [0, 1, 5, 6]] = means.reshape(size, stop - start, 4)
         states, steps = [self._covs.copy()], self._steps
         pairs = _segment_covs(np.array([codes for *_, codes in steps])) if steps else ()
         for (_, row, agent, _), pair in zip(steps, pairs):
             self._covs[row, 2 * agent : 2 * agent + 2] = pair
             states.append(self._covs[row].copy())
         covs = np.vstack(states)
+        n_b, b, s = self._roles([*range(size), *(row for _, row, _, _ in steps)])
         # alpha is a builder's low segment (its only one), gamma1 and gamma2 a searcher's two
-        by_state = _means(covs[:, 1 : 2 * n_b : 2], covs[:, 2 * n_b :: 2], covs[:, 2 * n_b + 1 :: 2])
-        self.series[:, start:stop, 2:5] = by_state[: len(self._rngs), None]  # the ``cov_*`` columns
-        for (t, row, _, _), row_means in zip(steps, by_state[len(self._rngs) :]):
+        segments = covs[:, 1 : 2 * hi : 2], covs[:, 2 * lo :: 2], covs[:, 2 * lo + 1 :: 2]
+        by_state = _means(np.stack([n_b, n - n_b, n - n_b], axis=1),
+                          *(np.where(role, part, 0.0) for role, part in zip((b, s, s), segments)))
+        self.series[:, start:stop, 2:5] = by_state[:size, None]  # the ``cov_*`` columns
+        for (t, row, _, _), row_means in zip(steps, by_state[size:]):
             self.series[row, t:stop, 2:5] = row_means  # from its round on, until a later step's
         steps.clear()
         self._filled = stop

@@ -1,10 +1,11 @@
 """Conflict-probability sweep: independent replicas, merged deterministically.
 
 Each (p_c, repetition) cell runs a full co-evolution simulation with its own
-RNG, and cells of one shape run in ``Lockstep`` batches. Replica
-seeds are split from the master seed by a fixed rule, SeedSequence([master,
-p_index, repetition]), so results depend neither on how many workers execute
-the replicas nor on how they are batched or in which order they finish.
+RNG, and cells of one population (role split per row) run in ``Lockstep``
+batches. Replica seeds are split from the master seed by a fixed rule,
+SeedSequence([master, p_index, repetition]), so results depend neither on how
+many workers execute the replicas nor on how they are batched or in which
+order they finish.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ def run_replicas(tasks: list[tuple], jobs: int = 1) -> list[dict[str, float]]:
 
     A task draws from replica_rng(master seed, *seed indices), so the results
     depend on neither ``jobs`` nor the order in which workers finish. Tasks of
-    one ``SimConfig.shape`` run in ``Lockstep`` batches of at most
-    ``ceil(len(tasks) / jobs)`` and MAX_BATCH replicas, cut as evenly as that
-    allows, and ``min(jobs, batches, CPUs)`` worker processes take the
-    batches. Sweep cells and egta profiles both run here.
+    one population (role split per row), one ``SimConfig.shape``, run in
+    ``Lockstep`` batches of at most ``ceil(len(tasks) / jobs)`` and MAX_BATCH
+    replicas, cut as evenly as that allows, and ``min(jobs, batches, CPUs)``
+    worker processes take the batches. Sweep cells and egta profiles both run
+    here; all of an egta table's profiles are one population.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

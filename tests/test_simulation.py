@@ -18,6 +18,7 @@ import pbsgame.sweep
 from pbsgame.auction import distribute
 from pbsgame.builder import Block, BlockEntry
 from pbsgame.codec import bid_ratio, decode_searcher
+from pbsgame.egta import estimate_hpt
 from pbsgame.errors import ConfigError, NumericalError
 from pbsgame.evolution import GAConfig
 from pbsgame.market import InteractionGraph, Scenario
@@ -340,6 +341,21 @@ def test_tasks_are_batched_by_shape(monkeypatch):
     ]
     run_replicas(tasks, jobs=1)
     assert batches == [[(0,), (2,)], [(1,)]]
+
+
+def test_an_egta_tables_role_splits_run_in_one_batch(monkeypatch):
+    # the 4 simulated splits of 4 agents x 2 reps are one population: one batch of 8
+    batches = []
+    original = pbsgame.sweep._run_batch
+
+    def spy(tasks):
+        batches.append(sorted(config.n_builders for config, _, _ in tasks))
+        return original(tasks)
+
+    monkeypatch.setattr(pbsgame.sweep, "_run_batch", spy)
+    table = estimate_hpt(4, small_config(rounds=5), reps=2, jobs=1)
+    assert batches == [[1, 1, 2, 2, 3, 3, 4, 4]]
+    assert [row.n_building for row in table.rows] == [0, 1, 2, 3, 4]
 
 
 def test_lockstep_takes_one_shape_and_steps_its_replicas_together():

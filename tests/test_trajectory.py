@@ -3,10 +3,11 @@
 Each example runs one small simulation and its scalar transcription from the
 same seed, and asserts that every metric series, every pool's genomes and
 fitness, the records the rounds return, decoded, and the final generator state
-are equal (NaN equal to NaN). The lockstep property does the same for every replica of a
-batch stepped together, a third reads the metrics at drawn rounds of a run,
-whose consensus series are filled on read, and the replica-runner property checks that batching
-tasks by shape returns, in task order, what one simulation per task returns.
+are equal (NaN equal to NaN). The lockstep properties do the same for every replica of a
+batch stepped together, of one role split or of a split per replica, a fourth reads the
+metrics at drawn rounds of a run, whose consensus series are filled on read, and the
+replica-runner property checks that batching tasks by shape returns, in task order,
+what one simulation per task returns.
 A further property checks one GA step on its own.
 """
 
@@ -132,12 +133,31 @@ def test_every_lockstep_replica_follows_its_scalar_reference(shape, replicas, da
 
 
 @settings(max_examples=100, deadline=None)
+@given(configs(), st.sampled_from([2, 7]), st.data())
+def test_every_replica_of_a_mixed_split_lockstep_follows_its_scalar_reference(shape, replicas, data):
+    # one population, each replica with its own split of its agents into builders and
+    # searchers: one row without builders and one of builders only, the rest drawn
+    n = shape.n_agents
+    splits = [0, n] + [data.draw(st.integers(0, n)) for _ in range(replicas - 2)]
+    configs = [
+        replace(shape, n_builders=n_b, n_searchers=n - n_b, p_c=data.draw(unit(0.0, 1.0)),
+                seed=data.draw(st.integers(0, 2**32 - 1)))
+        for n_b in data.draw(st.permutations(splits))
+    ]
+    lockstep = Lockstep(configs)
+    with returned_records() as rounds:
+        lockstep.run()
+    for sim, config, records in zip(lockstep.replicas, configs, rounds):
+        assert_follows_the_reference(sim, config, records)
+
+
+@settings(max_examples=100, deadline=None)
 @given(configs(), st.sampled_from([None, 1, 2, 7]), st.sampled_from([1, 3, LOG_FLUSH]), st.data())
 def test_metrics_read_mid_run_follow_the_scalar_reference(shape, replicas, flush, data):
-    # every replica's series are filled on a read of any one, whenever a GA log holds
-    # ``flush`` steps and whenever the block of ``flush`` rounds is full; a read of a drawn
-    # subset of replicas at any round, one at a full block too, sees the reference's
-    # prefix and leaves the rest as is, and the end reads every replica
+    # every replica's series are filled on a read of any one, whenever the batch's one GA
+    # log holds ``flush`` steps a replica and whenever the block of ``flush`` rounds is
+    # full; a read of a drawn subset of replicas at any round, one at a full block too,
+    # sees the reference's prefix and leaves the rest as is, and the end reads every replica
     reads = data.draw(st.sets(st.integers(0, shape.rounds), max_size=4))
     reads = sorted(reads | {t for t in (flush, 2 * flush) if t <= shape.rounds})
     # the lockstep sizes its block of played rounds by ``LOG_FLUSH``, so it is built under the patch
