@@ -6,6 +6,19 @@ batches. Replica seeds are split from the master seed by a fixed rule,
 SeedSequence([master, p_index, repetition]), so results depend neither on how
 many workers execute the replicas nor on how they are batched or in which
 order they finish.
+
+Parallel replicas run on one worker pool per process. The first
+``run_replicas`` call that needs workers starts it, and later calls with the
+same worker count reuse it, so a sweep, every p_c table of an egta grid and
+the calls after them share its workers. A call that needs another worker
+count shuts the pool down, waiting for its workers, before starting one of
+the new size. An exception that escapes a call, a broken pool or an
+interrupt included, shuts the pool down without waiting and empties the
+slot, so the next call starts clean. ``concurrent.futures`` joins the
+workers when the interpreter exits. The workers are forked once, when the
+pool starts, so a change the parent makes to module state afterwards is
+invisible to them; a task is a pure function of its (config, seed, indices),
+so no result depends on it.
 """
 
 from __future__ import annotations
@@ -52,6 +65,9 @@ MAX_BATCH = 32
 # whole, so the count is checked first
 MAX_REPLICAS = 10**6
 
+# the process's worker pool, kept between run_replicas calls: (workers, executor), or None
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
 
 def _run_batch(tasks: list[tuple[SimConfig, int, tuple[int, ...]]]) -> list[dict[str, float]]:
     lockstep = Lockstep([task[0] for task in tasks], [replica_rng(seed, *ids) for _, seed, ids in tasks])
@@ -69,7 +85,12 @@ def run_replicas(tasks: list[tuple], jobs: int = 1) -> list[dict[str, float]]:
     replicas, cut as evenly as that allows, and ``min(jobs, batches, CPUs)``
     worker processes take the batches. Sweep cells and egta profiles both run
     here; all of an egta table's profiles are one population.
+
+    The workers are the process's one pool, kept between calls, replaced for
+    another worker count and dropped when an exception escapes; forked when it
+    started, they miss later changes to the parent (see the module docstring).
     """
+    global _pool
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     groups: dict[SimConfig, list[int]] = {}
@@ -83,8 +104,17 @@ def run_replicas(tasks: list[tuple], jobs: int = 1) -> list[dict[str, float]]:
     work = [[tasks[k] for k in batch] for batch in batches]
     workers = min(jobs, len(batches), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_batch, work, chunksize=1))
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown(wait=True)  # no executor thread is alive when the new pool forks
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        try:
+            done = list(_pool[1].map(_run_batch, work, chunksize=1))
+        except BaseException:
+            _pool[1].shutdown(wait=False, cancel_futures=True)
+            _pool = None
+            raise
     else:
         done = [_run_batch(batch) for batch in work]
     by_task = dict(zip(itertools.chain(*batches), itertools.chain(*done)))

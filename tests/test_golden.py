@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of the CSV and JSON files of small fixed-seed CLI runs,
-and of the metric series and pools of wider in-process runs.
+of the metric series and pools of wider in-process runs, and of one payoff table.
 
 Any change to these digests changes what the simulator computes or writes,
-and has to be deliberate. Every command runs at --jobs 1.
+and has to be deliberate. Every command runs at --jobs 1; the payoff table is
+taken at 1 job and twice at 2 jobs.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 
 from pbsgame.cli import main
 from pbsgame.codec import segment_ints
+from pbsgame.egta import estimate_hpt
 from pbsgame.evolution import GAConfig
 from pbsgame.simulation import MetricsSeries, SimConfig, Simulation, cov
 
@@ -26,6 +28,10 @@ GOLDEN = {
     "egta": {
         "hpt.csv": "1b702c74fe3df31154b2e673109d98200db3c982d7c64037efefa449794442e8",
         "alpharank.csv": "62690d537934b7dd8405a3514c26d34380b3512ad3f324b70d82bb8f66f74e68",
+    },
+    "egta-reps9": {
+        "hpt.csv": "581bbf61c61ea47b5541a62b1829a78f1d6ff445e61d9556400f65e923c38ffd",
+        "alpharank.csv": "458fbf8b55f38eff809f58fde8a9a4ea491e1beebf2569d3794db8864c592191",
     },
     "simulate-rounds": {
         "rounds.csv": "dc5465e54c48589c2df5082feeae2362b1e3ee39cb6eead13aec959bda543967",
@@ -49,6 +55,11 @@ COMMANDS = {
     "egta": [
         "egta", "--agents", "3", "--pc", "0.4", "--alpha", "0.1:100:log6", "--reps", "2",
         "--rounds", "80", "--seed", "5",
+    ],
+    # 9 reps: a left-to-right mean of 9 payoffs can differ from numpy's pairwise one
+    "egta-reps9": [
+        "egta", "--agents", "3", "--pc", "0.2:0.6:0.4", "--alpha", "0.1:100:log4", "--reps", "9",
+        "--rounds", "60", "--seed", "6",
     ],
     "simulate-rounds": [
         "simulate", "--builders", "3", "--searchers", "4", "--rounds", "120", "--pc", "0.5",
@@ -120,6 +131,21 @@ WIDE = {
         "4d3a1f6ca2a01e44e84833132d06968e00fbbe6d5f472bf701d2ad5d939ea192",
     ),
 }
+
+
+# one mixed-split lockstep batch of 6 profiles x 4 reps = 24 rows over 300 rounds: its
+# series fills cross a chunk edge; sha256 of the repr of every HptRow field
+HPT_M6 = "51922ebfa3236c34743a0ac4520c4f0112a0dab53adbea773dd37dfba840ef30"
+
+
+def test_estimate_hpt_digest_in_one_process_and_on_reused_workers(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    template = SimConfig(n_builders=3, n_searchers=3, rounds=300, p_c=0.4, seed=21)
+    digests = []
+    for jobs in (1, 2, 2):  # the second jobs=2 call runs on the first one's workers
+        rows = estimate_hpt(6, template, reps=4, jobs=jobs).rows
+        digests.append(hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest())
+    assert digests == [HPT_M6] * 3
 
 
 def sha256_json(payload) -> str:

@@ -2,9 +2,14 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,21 +276,32 @@ def test_run_replicas_returns_results_in_task_order(jobs):
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor without starting a process: records the worker
-    count it is opened with and runs the batches inline."""
+    count it is opened with and the arguments of each shutdown, and runs the batches inline."""
 
     opened: list = []
+    closed: list = []
 
     def __init__(self, max_workers):
+        self.workers = max_workers
         self.opened.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, **kwargs):
+        self.closed.append((self.workers, kwargs))
 
     def map(self, fn, batches, chunksize=1):
         return map(fn, batches)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Empties the process's cached worker pool for one test, so the test neither reuses
+    another test's workers nor leaves its stand-in behind, and shuts down what it cached."""
+    monkeypatch.setattr(pbsgame.sweep, "_pool", None)
+    monkeypatch.setattr(RecordingPool, "opened", [])
+    monkeypatch.setattr(RecordingPool, "closed", [])
+    yield
+    if pbsgame.sweep._pool is not None:
+        pbsgame.sweep._pool[1].shutdown()
 
 
 @pytest.mark.parametrize(
@@ -299,8 +315,7 @@ class RecordingPool:
         (100, 1, 64, []),  # at most MAX_BATCH replicas a batch
     ],
 )
-def test_worker_count_is_capped_by_batches_and_cpus(monkeypatch, n_tasks, jobs, cpus, workers):
-    monkeypatch.setattr(RecordingPool, "opened", [])
+def test_worker_count_is_capped_by_batches_and_cpus(monkeypatch, fresh_pool, n_tasks, jobs, cpus, workers):
     monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     batches = []
@@ -319,10 +334,87 @@ def test_worker_count_is_capped_by_batches_and_cpus(monkeypatch, n_tasks, jobs, 
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_fewer_than_one_job_is_refused(monkeypatch, jobs):
+def test_fewer_than_one_job_is_refused(monkeypatch, fresh_pool, jobs):
     monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
     with pytest.raises(ConfigError, match="jobs"):
         run_replicas([(small_config(rounds=5), 7, (0,))], jobs)
+
+
+def test_consecutive_parallel_calls_share_one_pool(monkeypatch, fresh_pool):
+    built = []
+    executor = pbsgame.sweep.ProcessPoolExecutor
+
+    def counting(max_workers):
+        built.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", counting)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    tasks = [(small_config(rounds=5, p_c=0.3 * k), 7, (k,)) for k in range(4)]
+    assert run_replicas(tasks, 2) == run_replicas(tasks, 2)
+    assert built == [2]
+
+
+def test_another_worker_count_replaces_the_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    tasks = [(small_config(rounds=5), 7, (k,)) for k in range(6)]
+    expected = run_replicas(tasks, 2)
+    assert run_replicas(tasks, 1) == expected  # a call without workers leaves the pool alone
+    assert (RecordingPool.opened, RecordingPool.closed) == ([2], [])
+    assert run_replicas(tasks, 3) == expected
+    assert RecordingPool.opened == [2, 3]
+    assert RecordingPool.closed == [(2, {"wait": True})]
+    assert pbsgame.sweep._pool[0] == 3
+
+
+def test_a_broken_pool_is_dropped_and_the_next_call_starts_afresh(monkeypatch, fresh_pool):
+    class BrokenPool(RecordingPool):
+        def map(self, fn, batches, chunksize=1):
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    tasks = [(small_config(rounds=5), 7, (k,)) for k in range(4)]
+    with pytest.raises(BrokenProcessPool):
+        run_replicas(tasks, 2)
+    assert pbsgame.sweep._pool is None
+    assert RecordingPool.closed == [(2, {"wait": False, "cancel_futures": True})]
+    monkeypatch.setattr("pbsgame.sweep.ProcessPoolExecutor", RecordingPool)
+    assert run_replicas(tasks, 2) == run_replicas(tasks, 1)
+    assert RecordingPool.opened == [2, 2]
+
+
+def test_warm_workers_return_the_one_process_summaries(monkeypatch, fresh_pool):
+    # each call hands the same two workers new replicas, of every role split
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    calls = [
+        [(small_config(rounds=60, p_c=0.25 * (k % 5), n_builders=1 + k % 5, n_searchers=5 - k % 5),
+          seed, (k,)) for k in range(5)]
+        for seed in (3, 4, 5)
+    ]
+    expected = [run_replicas(tasks, 1) for tasks in calls]
+    assert [run_replicas(tasks, 2) for tasks in calls] == expected
+
+
+def test_a_parallel_sweep_leaves_no_worker_behind():
+    probe = (
+        "import os, pbsgame.sweep as sweep\n"
+        "from pbsgame.simulation import SimConfig\n"
+        "os.cpu_count = lambda: 2\n"
+        "sweep.sweep_conflict(SimConfig(3, 3, 20, 0.5), [0.0, 1.0], 2, jobs=2)\n"
+        "print(*sweep._pool[1]._processes)\n"
+    )
+    src = str(Path(pbsgame.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    pids = [int(pid) for pid in result.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_tasks_are_batched_by_shape(monkeypatch):
