@@ -36,6 +36,10 @@ class HptRow:
 
 @dataclass(frozen=True)
 class HeuristicPayoffTable:
+    """Every split of m agents across the roles once, each mixed one with both payoffs,
+    so alpha-rank can rank it. Rows come in any order and are kept sorted by
+    builder count: ``rows[k]`` is the profile with k builders."""
+
     m: int
     rows: tuple[HptRow, ...]
 
@@ -59,12 +63,18 @@ class HeuristicPayoffTable:
             if row.n_building in seen:
                 raise ConfigError(f"payoff table has two profiles with {row.n_building} builders")
             seen.add(row.n_building)
+            if 0 < row.n_building < self.m and None in (row.u_building, row.u_sharing):
+                raise ConfigError(f"payoff table row ({row.n_building}, {row.n_sharing}) "
+                                  "is missing a payoff")
+        missing = set(range(self.m + 1)) - seen
+        if missing:
+            raise ConfigError(f"payoff table has no profile with {min(missing)} builders")
+        object.__setattr__(self, "rows", tuple(sorted(self.rows, key=lambda r: r.n_building)))
 
     def row(self, n_building: int) -> HptRow:
-        for r in self.rows:
-            if r.n_building == n_building:
-                return r
-        raise ConfigError(f"payoff table has no profile with {n_building} builders")
+        if not 0 <= n_building <= self.m:
+            raise ConfigError(f"payoff table has no profile with {n_building} builders")
+        return self.rows[n_building]
 
 
 def _mean(values: list[float]) -> float:
@@ -197,24 +207,12 @@ def alpharank(hpt: HeuristicPayoffTable, alpha: float) -> AlphaRankResult:
     """
     if not 0 < alpha < math.inf:
         raise ConfigError(f"ranking intensity must be positive and finite, got {alpha}")
-    m = hpt.m
-
-    # every mixed profile is consumed; monomorphic rows ground the chain
-    hpt.row(0)
-    hpt.row(m)
-    mixed = {}
-    for k in range(1, m):
-        row = hpt.row(k)
-        if row.u_building is None or row.u_sharing is None:
-            raise ConfigError(
-                f"payoff table row ({row.n_building}, {row.n_sharing}) is missing a payoff"
-            )
-        mixed[k] = row
+    m, rows = hpt.m, hpt.rows
 
     # k builders present -> gap seen by the growing builder minority
-    build_gaps = [mixed[k].u_building - mixed[k].u_sharing for k in range(1, m)]
+    build_gaps = [rows[k].u_building - rows[k].u_sharing for k in range(1, m)]
     # k searchers present -> profile (m - k) builders, sharing is the mutant
-    share_gaps = [mixed[m - k].u_sharing - mixed[m - k].u_building for k in range(1, m)]
+    share_gaps = [rows[m - k].u_sharing - rows[m - k].u_building for k in range(1, m)]
 
     rho_share_to_build = path_fixation_probability(build_gaps, alpha)
     rho_build_to_share = path_fixation_probability(share_gaps, alpha)

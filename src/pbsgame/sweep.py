@@ -127,7 +127,7 @@ def sweep_conflict(
     repetitions: int,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Run the grid and return a long-format table sorted by (p_c, rep, metric)."""
+    """Run the grid. Rows are not sorted: p_c in the grid's order, then rep, then SWEEP_METRICS."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if len(p_values) * repetitions > MAX_REPLICAS:

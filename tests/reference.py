@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from unittest import mock
 
 import numpy as np
@@ -76,7 +76,13 @@ def roulette(fitness: list[float], temperature: float, u: float) -> int:
 
 
 def pool_cov(pool: list[list], segment: int) -> float:
-    ints = [int(bits[5 * segment : 5 * segment + 5], 2) for bits, _ in pool]
+    # fitness does not enter the CoV, and a pool's genomes change only at a GA step
+    return genome_cov(tuple(bits for bits, _ in pool), segment)
+
+
+@lru_cache(maxsize=4096)
+def genome_cov(genomes: tuple[str, ...], segment: int) -> float:
+    ints = [int(bits[5 * segment : 5 * segment + 5], 2) for bits in genomes]
     arr = np.array(ints, dtype=float)
     m = arr.mean()
     return 0.0 if m == 0 else float(arr.std() / m)

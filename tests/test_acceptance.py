@@ -11,6 +11,7 @@ probabilities 0.4 and 0.5 rather than by 0.4).
 """
 
 import csv
+import hashlib
 import itertools
 import time
 
@@ -30,13 +31,20 @@ from pbsgame.egta import (
     intensity_sweep,
 )
 from pbsgame.market import InteractionGraph
-from pbsgame.simulation import SimConfig, Simulation
+from pbsgame.simulation import MetricsSeries, SimConfig, Simulation
 from pbsgame.sweep import sweep_conflict
 
 JOBS = 2
 SWEEP_P_VALUES = [round(0.1 * k, 10) for k in range(11)]
 EGTA_P_VALUES = [0.0, 0.1, 0.4, 0.5]
 ALPHA_GRID = [float(a) for a in np.geomspace(0.1, 100, 10)]
+
+# sha256 of the fixtures' own outputs, one repr a line: every column of the 5
+# convergence runs' series, every sweep row, and each egta p_c's table rows and
+# alpha-rank results
+CONVERGENCE_SERIES = "b5ff196d2e6502b399ce7a32f19540144e123e1f160436f125df5d1072d59aaa"
+SWEEP_ROWS = "0411eba9272d154be13c8535edeb30b72e64b456f75c4380c9fbc34d0527b28f"
+EGTA_TABLES = "5208ad39a4d3b39a0834b75e0097c32163f049ea783525dbe99ccc8e71876007"
 
 
 def report(criterion, ok, detail):
@@ -58,6 +66,7 @@ def convergence_runs():
                 "last500": float(np.mean(sim.metrics.cov_alpha[-500:])),
                 "residual": sim.max_residual,
                 "seconds": time.monotonic() - started,
+                "series": [getattr(sim.metrics, name) for name in MetricsSeries.FIELDS],
             }
         )
     return runs
@@ -87,8 +96,31 @@ def egta_results():
         results[p] = {
             "sweep": intensity_sweep(hpt, ALPHA_GRID),
             "residual": max(row.max_residual for row in hpt.rows),
+            "rows": hpt.rows,
         }
     return results
+
+
+def repr_digest(values) -> str:
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+
+
+def test_convergence_series_are_pinned(convergence_runs):
+    values = [x for run in convergence_runs for column in run["series"] for x in column]
+    assert repr_digest(values) == CONVERGENCE_SERIES
+
+
+def test_sweep_rows_are_pinned(sweep_rows):
+    assert repr_digest(sweep_rows) == SWEEP_ROWS
+
+
+def test_egta_tables_and_ranks_are_pinned(egta_results):
+    values = []
+    for p in EGTA_P_VALUES:
+        values += [p, *egta_results[p]["rows"]]
+        for result in egta_results[p]["sweep"]:
+            values += [result.alpha, *result.transition.ravel().tolist(), *result.stationary.tolist()]
+    assert repr_digest(values) == EGTA_TABLES
 
 
 def test_criterion_1_builder_consensus(convergence_runs):

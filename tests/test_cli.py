@@ -207,6 +207,9 @@ BLOCK_2 = ("0,2,,0.0,1", "1,1,0.2,0.1,1", "2,0,0.2,,1")  # a valid 2-agent table
         (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,0.1,1\n1,1,0.3,0.1,1\n2,0,0.2,,1\n", "two profiles with 1 builders"),
         (HPT_HEADER, "0,2,,0.0,1\n1\n2,0,0.2,,1\n", "bad payoff table file"),
         (HPT_HEADER, "0,2,,0.0,1\n1,1,nan,0.1,1\n2,0,0.2,,1\n", "non-finite payoff"),
+        # a table that cannot be ranked is refused when the file is loaded
+        (HPT_HEADER, "0,2,,0.0,1\n2,0,0.2,,1\n", "payoff table has no profile with 1 builders"),
+        (HPT_HEADER, "0,2,,0.0,1\n1,1,0.2,,1\n2,0,0.2,,1\n", "payoff table row (1, 1) is missing a payoff"),
         # a table of fewer than 2 agents was ranked, nu 0.5/0.5, and the run exited 0
         (HPT_HEADER, "0,0,,,1\n", "at least 2 agents, got 0"),
         (HPT_HEADER, "0,1,,0.0,1\n1,0,0.2,,1\n", "at least 2 agents, got 1"),
@@ -222,7 +225,8 @@ BLOCK_2 = ("0,2,,0.0,1", "1,1,0.2,0.1,1", "2,0,0.2,,1")  # a valid 2-agent table
         ("p_c," + HPT_HEADER, "".join(f"-inf,{row}\n" for row in BLOCK_2), "got p_c -inf in"),
         ("p_c," + HPT_HEADER, "".join(f"nan,{row}\n" for row in BLOCK_2), "got p_c nan in"),
     ],
-    ids=["duplicate-profile", "short-row", "nan-payoff", "no-agent", "one-agent",
+    ids=["duplicate-profile", "short-row", "nan-payoff", "missing-profile", "missing-payoff",
+         "no-agent", "one-agent",
          "sharing-payoff-without-sharers", "building-payoff-without-builders", "negative-samples",
          "negative-builders", "negative-sharers", "pc-past-1", "pc-neg-inf", "pc-nan"],
 )

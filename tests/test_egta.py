@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,15 +127,58 @@ def test_intensity_sweep_shape():
 
 
 def test_alpharank_requires_complete_mixed_rows():
+    # the table is refused when it is built, so alpha-rank never sees it
     rows = (
         HptRow(0, 10, None, 0.0, 1),
         HptRow(1, 9, 0.5, 0.2, 1),
         HptRow(9, 1, 0.5, 0.2, 1),
         HptRow(10, 0, 0.5, None, 1),
     )
-    hpt = HeuristicPayoffTable(m=10, rows=rows)
     with pytest.raises(ConfigError):
-        alpharank(hpt, 1.0)
+        HeuristicPayoffTable(m=10, rows=rows)
+
+
+@pytest.mark.parametrize("dropped", range(5))
+def test_hpt_refuses_a_missing_profile(dropped):
+    rows = tuple(row for row in full_table(4, 0.2, 0.1).rows if row.n_building != dropped)
+    with pytest.raises(ConfigError, match=f"no profile with {dropped} builders"):
+        HeuristicPayoffTable(m=4, rows=rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("role", ["u_building", "u_sharing"])
+def test_hpt_refuses_a_mixed_row_without_a_payoff(k, role):
+    rows = list(full_table(4, 0.2, 0.1).rows)
+    rows[k] = dataclasses.replace(rows[k], **{role: None})
+    with pytest.raises(ConfigError, match=rf"row \({k}, {4 - k}\) is missing a payoff"):
+        HeuristicPayoffTable(m=4, rows=tuple(rows))
+
+
+def test_hpt_keeps_rows_in_builder_order():
+    ordered = bistable_table()
+    shuffled = list(ordered.rows)
+    np.random.default_rng(11).shuffle(shuffled)
+    assert [row.n_building for row in shuffled] != list(range(5))
+    table = HeuristicPayoffTable(m=4, rows=tuple(shuffled))
+    assert [row.n_building for row in table.rows] == list(range(5))
+    assert table == ordered
+    assert [table.row(k) for k in range(5)] == list(ordered.rows)
+    for alpha in (0.5, 100.0):
+        ranked, expected = alpharank(table, alpha), alpharank(ordered, alpha)
+        assert ranked.transition.tolist() == expected.transition.tolist()
+        assert ranked.stationary.tolist() == expected.stationary.tolist()
+
+
+def test_alpharank_is_linear_in_the_table_size():
+    m = 40_000
+    rows = [HptRow(0, m, None, 0.0, 1)]
+    rows += [HptRow(k, m - k, 0.3 + 1e-6 * k, 0.3, 1) for k in range(1, m)]
+    rows.append(HptRow(m, 0, 0.3, None, 1))
+    table = HeuristicPayoffTable(m=m, rows=tuple(rows))
+    started = time.perf_counter()
+    alpharank(table, 1.0)
+    # searching the rows for each profile took about 20 s at this size on a 2-core host
+    assert time.perf_counter() - started < 2.0
 
 
 def test_alpharank_rejects_bad_intensity():
@@ -147,8 +191,9 @@ def test_hpt_validation():
     with pytest.raises(ConfigError):
         HeuristicPayoffTable(m=4, rows=(HptRow(1, 2, 0.1, 0.1, 1),))
     table = full_table(4, 0.1, 0.2)
-    with pytest.raises(ConfigError):
-        table.row(9)
+    for k in (9, 5, -1):  # a negative count must not index from the end
+        with pytest.raises(ConfigError, match=f"no profile with {k} builders"):
+            table.row(k)
     for payoff in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="non-finite payoff"):
             HeuristicPayoffTable(m=2, rows=(HptRow(0, 2, None, payoff, 1),))
