@@ -48,8 +48,10 @@ def second_price(totals: Sequence[float], rng: np.random.Generator) -> tuple[int
     if not totals:
         raise ConfigError("no builders this round; nothing to auction")
     top = max(totals)
-    tied = [k for k, total in enumerate(totals) if total == top]
-    winner = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+    winner = totals.index(top)
+    if totals.count(top) > 1:
+        tied = [k for k, total in enumerate(totals) if total == top]
+        winner = tied[int(rng.integers(len(tied)))]
     return winner, max(totals[:winner] + totals[winner + 1 :], default=0.0)
 
 

@@ -6,8 +6,9 @@ current bid first; an added bundle zeroes the value (and so the bid) of every
 bundle it conflicts with. The loop stops at capacity or when the best
 remaining bundle has no positive value left. ``rank_offers`` ranks the offers
 to every builder of a round in one call, ``greedy_scan`` scans one builder's
-ranked offers into included positions and a total bid, and ``build_block``
-does both for one builder and returns its ``Block``.
+ranked offers into included positions and a total bid, ``greedy_total`` gives
+that total alone, and ``build_block`` ranks and scans for one builder and
+returns its ``Block``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,33 @@ def greedy_scan(
                 break
             blocked |= masks[owner]
     return picked, total
+
+
+def greedy_total(
+    owners: Sequence[int], bids: Sequence[float], length: int, masks: Sequence[int],
+    bits: Sequence[int], capacity: int | None = None,
+) -> float:
+    """``greedy_scan``'s total alone: the same pass and the same additions in the
+    same order, so the same value bit for bit, with no positions kept."""
+    total = 0
+    blocked = 0
+    if capacity is None:
+        for k in range(length):
+            owner = owners[k]
+            if not blocked & bits[owner]:
+                total += bids[k]
+                blocked |= masks[owner]
+        return total
+    room = capacity
+    for k in range(length):
+        owner = owners[k]
+        if not blocked & bits[owner]:
+            total += bids[k]
+            room -= 1
+            if not room:
+                break
+            blocked |= masks[owner]
+    return total
 
 
 def build_block(

@@ -305,10 +305,15 @@ def _load_hpt_file(path: str) -> list[tuple[str, HeuristicPayoffTable]]:
     for p_c in groups:
         if p_c is not None and not 0 <= p_c <= 1:  # written so that NaN fails too
             raise ConfigError(f"conflict probability must be in [0, 1], got p_c {p_c} in {path}")
-    return [
-        (_fmt(p_c), HeuristicPayoffTable(m=rows[0].n_building + rows[0].n_sharing, rows=tuple(rows)))
-        for p_c, rows in groups.items()
-    ]
+    tables = []
+    for p_c, rows in groups.items():
+        m = rows[0].n_building + rows[0].n_sharing
+        try:
+            tables.append((_fmt(p_c), HeuristicPayoffTable(m=m, rows=tuple(rows))))
+        except ConfigError as exc:  # name the table refused: a file may hold one per p_c
+            where = path if p_c is None else f"the p_c {p_c} table of {path}"
+            raise ConfigError(f"{exc}, in {where}") from exc
+    return tables
 
 
 def cmd_egta(args: argparse.Namespace) -> Result:

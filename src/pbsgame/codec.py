@@ -109,8 +109,10 @@ def bid_ratios(searchers: Sequence[int], builders: Sequence[int]) -> np.ndarray:
     """
     rows = np.asarray(searchers, dtype=np.intp)
     cols = np.asarray(builders, dtype=np.intp)
-    for code in set(rows[~_BID_FILLED[rows]].tolist()):
-        params = decode_searcher(code)
-        _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
-        _BID_FILLED[code] = True
+    filled = _BID_FILLED[rows]
+    if not filled.all():
+        for code in set(rows[~filled].tolist()):
+            params = decode_searcher(code)
+            _BID_TABLE[code] = [bid_ratio(params, alpha) for alpha in BUILDER_ALPHAS]
+            _BID_FILLED[code] = True
     return _BID_TABLE[rows[..., None], cols[..., None, :]]

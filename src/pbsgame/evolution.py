@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,11 +48,11 @@ def _softmax(fitness: np.ndarray, temperature) -> np.ndarray:
 def roulette(fitness: np.ndarray, temperature, uniforms: np.ndarray) -> np.ndarray:
     """One softmax roulette pick per row of ``fitness`` (any leading axes), each from the
     uniform draw of the same index: the count of the row's cumulative probabilities <= the
-    draw, clipped to the last strategy. Each row is reduced on its own, so stacking rows
-    never changes a pick."""
+    draw, clipped to the last strategy. The cumulative sums never fall, so counting all but
+    the last is that clip. Each row is reduced on its own, so stacking rows never changes a
+    pick."""
     cumulative = np.add.accumulate(_softmax(fitness, temperature), axis=-1)
-    picked = np.add.reduce(cumulative <= uniforms[..., None], axis=-1, dtype=np.intp)
-    return np.minimum(picked, cumulative.shape[-1] - 1)
+    return np.add.reduce(cumulative[..., :-1] <= uniforms[..., None], axis=-1, dtype=np.intp)
 
 
 def select_strategy(fitness: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
@@ -62,6 +64,12 @@ def select_strategy(fitness: np.ndarray, temperature: float, rng: np.random.Gene
 def update_fitness(fitness: np.ndarray, index: int, payoff: float, learning_rate: float) -> None:
     """EMA update of the played strategy only, in place: f <- (1 - eta) f + eta * payoff."""
     fitness[index] = (1.0 - learning_rate) * fitness[index] + learning_rate * payoff
+
+
+@cache
+def _places(width: int) -> tuple[int, ...]:
+    """The code bit of each string position of a ``width``-bit genome, most significant first."""
+    return tuple(1 << bit for bit in reversed(range(width)))
 
 
 def evolve(
@@ -82,12 +90,19 @@ def evolve(
     n_drop = min(int(size * ga.elimination), size - 1)
     if n_drop == 0:  # the pool stays as it is, and no draw is made
         return
-    kept = fitness.argsort(kind="stable")[n_drop:]  # by (fitness, index)
-    kept.sort()
-    new_codes, new_fitness = codes[kept].tolist(), fitness[kept].tolist()
-    cumulative = np.add.accumulate(_softmax(fitness[kept], temperature)).tolist()
+    all_codes, all_fitness = codes.tolist(), fitness.tolist()
+    # a stable sort by fitness keeps index order among ties: survivors by (fitness, index)
+    kept = sorted(sorted(range(size), key=all_fitness.__getitem__)[n_drop:])
+    new_codes, new_fitness = [all_codes[k] for k in kept], [all_fitness[k] for k in kept]
+    # the softmax of the survivors' fitness as ``_softmax`` takes it, one reduce for the sum
+    weights = np.array(new_fitness)
+    weights -= max(new_fitness)
+    weights /= temperature
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights)
+    cumulative = list(accumulate(weights.tolist()))  # left to right, as ``np.add.accumulate``
     last = len(new_codes) - 1
-    places = [1 << bit for bit in reversed(range(width))]  # string position -> code bit
+    places = _places(width)
     flip_width = width if ga.mutation > 0 else 0
     uniforms = rng.random(2).tolist()  # the first pair's parents
     while (short := size - len(new_codes)) > 0:

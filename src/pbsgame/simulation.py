@@ -34,7 +34,7 @@ import numpy as np
 
 from .auction import conservation_residual, distribute, second_price
 from .auction import run_auction, settle  # noqa: F401  the benchmark's layer probes wrap these
-from .builder import greedy_scan, rank_offers
+from .builder import greedy_scan, greedy_total, rank_offers
 from .builder import build_block  # noqa: F401  the benchmark's layer probes wrap this name
 from .codec import BUILDER_ALPHAS, BUILDER_WIDTH, SEARCHER_WIDTH, SEGMENT_BITS, SEGMENT_MAX
 from .codec import bid_ratios, random_codes
@@ -42,7 +42,7 @@ from .codec import bid_ratio, decode_builder, decode_searcher, segment_ints  # n
 from .errors import ConfigError, NumericalError
 from .evolution import POOL_SIZE, GAConfig, evolve, roulette
 from .evolution import select_strategy, update_fitness  # noqa: F401  the benchmark's probes wrap these
-from .market import conflict_masks, draw_round, pair_indices
+from .market import conflict_masks, pair_indices
 from .market import draw_scenario  # noqa: F401  the benchmark's probes wrap this name
 
 # residuals beyond this share of the winning block's value (or of 1.0 for a
@@ -73,7 +73,7 @@ class SimConfig:
         if self.n_builders < 0 or self.n_searchers < 0:
             raise ConfigError("agent counts must be non-negative")
         if self.n_builders + self.n_searchers < 2:
-            # a round's scenario needs two bundles (``market.draw_round``)
+            # a round's scenario needs two bundles
             raise ConfigError(f"need at least 2 agents, got {self.n_builders + self.n_searchers}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
@@ -196,6 +196,13 @@ def _segment_covs(codes: np.ndarray) -> np.ndarray:
     return covs.reshape(len(codes), -1)
 
 
+def draw_row(n: int, scale: float, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replica's draws of a round, in stream order: ``n`` i.i.d. Exponential values of mean
+    ``scale``, then ``size`` uniforms. ``market.draw_round`` makes the same two calls, so its
+    values and pair draws are these values and the leading uniforms."""
+    return rng.exponential(scale, n), rng.random(size)
+
+
 class Simulation:
     """One replica, a view of row r of a ``Lockstep``: its config, RNG and pool rows (``codes[a]``
     and ``fitness[a]`` are agent a's). Stepping a batch's replica steps the whole batch."""
@@ -284,11 +291,15 @@ class Lockstep:
             # each offer's value's flat index in ``_values``
             self._offer_at = np.where(offered, owners, n) + (n + 1) * np.arange(size).reshape(size, 1, 1)
             self._offsets = width * np.arange(size * hi).reshape(size, hi, 1)
-            # pair_at[i, j]: the draw of pair {i, j} in a row of pair draws whose trailing
-            # column, read on the diagonal, is False
+            # a round's draws, row r from ``draw_row``: its pair draws, its selection uniforms
+            # and a trailing 1.0; pair_at[i, j] is the column of pair {i, j}, and the last
+            # column on the diagonal
             rows, cols = pair_indices(n)
-            self._pair_at = np.full((n, n), rows.size)
+            self._n_pairs = rows.size
+            self._draws = np.ones((size, rows.size + n + 1))
+            self._pair_at = np.full((n, n), rows.size + n)
             self._pair_at[rows, cols] = self._pair_at[cols, rows] = range(rows.size)
+            self._p_c = np.array([[c.p_c] for c in configs])
             # the codes played and payoffs paid in the rounds since the last fill
             self._played = np.empty((size, min(LOG_FLUSH, config.rounds), n), dtype=np.int64)
             self._paid = np.empty(self._played.shape)
@@ -323,15 +334,15 @@ class Lockstep:
         n, lo, hi = cfg.n_agents, min(self._n_b), max(self._n_b)
         if t >= cfg.rounds:
             raise ConfigError(f"all {cfg.rounds} rounds are played")
-        values, uniforms = self._values, np.empty((size, n))
-        pairs = np.zeros((size, pair_indices(n)[0].size + 1), dtype=bool)
-        for r, (config, rng) in enumerate(zip(self._configs, self._rngs)):
-            values[r, :n], pairs[r, :-1] = draw_round(n, config.p_c, cfg.value_rate, rng)
-            uniforms[r] = rng.random(n)
-        masks = conflict_masks(pairs[:, self._pair_at])
+        # row r: the values, then the pair draws and the selection uniforms from one call,
+        # then a trailing 1.0, which no p_c exceeds, read on the diagonal of the conflicts
+        values, draws, n_pairs, scale = self._values, self._draws, self._n_pairs, 1.0 / cfg.value_rate
+        for r, rng in enumerate(self._rngs):
+            values[r, :n], draws[r, :-1] = draw_row(n, scale, n_pairs + n, rng)
+        masks = conflict_masks(np.take(draws < self._p_c, self._pair_at, axis=1))
 
         # strategy selection, one softmax draw per agent
-        played_at = self._rows + roulette(self.fitness, cfg.temperature, uniforms)
+        played_at = self._rows + roulette(self.fitness, cfg.temperature, draws[:, n_pairs:-1])
         played = self.codes.reshape(-1)[played_at]
         # a searcher's code in a builder column would index past the builder genomes
         betas = bid_ratios(played[:, lo:], played[:, :hi] & SEGMENT_MAX)
@@ -355,19 +366,19 @@ class Lockstep:
             masks,
             values.tolist(),
         )
-        records = []
-        triggers = np.empty((size, n))
+        records, paid, payments, triggered = [], [], [], []
+        bits, capacity, trigger = self._bits, cfg.capacity, cfg.ga.trigger
         for r, (rng, n_b, its_offers) in enumerate(zip(self._rngs, self._n_b, offers)):
             winner, payment, payoffs, residual = None, 0.0, (0.0,) * n, 0.0
             if n_b > 0:
                 owners, bids, lengths, bundle_masks, worths = its_offers
-                scans = [
-                    greedy_scan(*row, bundle_masks, self._bits, cfg.capacity)
-                    for row in zip(owners, bids, lengths[:n_b])
+                # every builder's total, then the winner's picks from one more scan of its row
+                totals = [
+                    greedy_total(*row, bundle_masks, bits, capacity) for row in zip(owners, bids, lengths[:n_b])
                 ]
-                winner, payment = second_price([total for _, total in scans], rng)
-                picked, total = scans[winner]
+                winner, payment = second_price(totals, rng)
                 won_owners, won_bids = owners[winner], bids[winner]
+                picked, total = greedy_scan(won_owners, won_bids, lengths[winner], bundle_masks, bits, capacity)
                 entries = [(won_owners[k], worths[won_owners[k]], won_bids[k]) for k in picked]
                 rebate = BUILDER_ALPHAS[played[r, winner]]
                 payoffs = tuple(distribute(winner, payment, total, entries, rebate, n))
@@ -378,23 +389,28 @@ class Lockstep:
                     raise NumericalError(f"payoff conservation violated by {residual:.3e} in round {t}")
                 self.max_residual[r] = max(self.max_residual[r], residual)
             records.append(RoundRecord(t, played[r], winner, payment, payoffs, residual))
-            triggers[r] = rng.random(n)
+            paid.append(payoffs)
+            payments.append(payment)
+            triggered += [(r, agent) for agent, u in enumerate(rng.random(n).tolist()) if u < trigger]
 
         # only the played strategy learns; losers and the excluded see payoff 0
         eta = cfg.learning_rate
-        self._paid[:, held] = [record.payoffs for record in records]
+        self._paid[:, held] = paid
         fitness = self.fitness.reshape(-1)
-        fitness[played_at] = (1.0 - eta) * fitness[played_at] + eta * self._paid[:, held]
+        learned = fitness[played_at]
+        learned *= 1.0 - eta
+        learned += eta * self._paid[:, held]
+        fitness[played_at] = learned
 
         if t == 0:
             self._covs = _segment_covs(self.codes)
-        for r, agent in zip(*(k.tolist() for k in (triggers < cfg.ga.trigger).nonzero())):
+        for r, agent in triggered:
             width = BUILDER_WIDTH if agent < self._n_b[r] else SEARCHER_WIDTH
             evolve(self.codes[r, agent], self.fitness[r, agent], width, cfg.temperature, cfg.ga, self._rngs[r])
             self._steps.append((t, r, agent, self.codes[r, agent].copy()))
 
         # the payment column of round t; ``_fill`` writes the means and the consensus
-        self.series[:, t, 7] = [record.payment for record in records]
+        self.series[:, t, 7] = payments
         self.round_index += 1
         if held + 1 == self._played.shape[1] or len(self._steps) >= LOG_FLUSH * size:
             self._fill()

@@ -255,9 +255,15 @@ def bitmasks(conflicts: np.ndarray) -> list[int]:
 
 
 def given_scenario(scenario):
-    """A patch under which every round plays ``scenario``: the round's draw returns its
-    values and pair draws and makes no generator call, so a round draws only its
-    selection uniforms, GA triggers and any auction tie, as a drawn round then does."""
+    """A patch under which every round plays ``scenario``: a row's draw returns its values
+    and pair draws (-1.0 for a conflict, below every p_c, and 1.0, below none) without a
+    generator call, and draws from the generator only its selection uniforms, so a round
+    draws only those, its GA triggers and any auction tie, as a drawn round then does."""
     rows, cols = pair_indices(scenario.n)
-    draws = (np.array(scenario.values), scenario.graph.weights[rows, cols] < 0)
-    return mock.patch.object(pbsgame.simulation, "draw_round", lambda n, p_c, rate, rng: draws)
+    values = np.array(scenario.values)
+    pair_draws = np.where(scenario.graph.weights[rows, cols] < 0, -1.0, 1.0)
+
+    def draw_row(n, scale, size, rng):
+        return values, np.concatenate((pair_draws, rng.random(size - pair_draws.size)))
+
+    return mock.patch.object(pbsgame.simulation, "draw_row", draw_row)

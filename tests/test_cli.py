@@ -241,6 +241,18 @@ def test_egta_hpt_file_bad_table_exits_2(tmp_path, capsys, header, rows, expecte
     assert not out.exists()
 
 
+def test_egta_hpt_file_names_the_refused_table(tmp_path, capsys):
+    # p_c 0.1 is complete and p_c 0.5 lacks its (1, 1) row
+    hpt_file = tmp_path / "hpt.csv"
+    rows = [f"0.1,{row}" for row in BLOCK_2] + [f"0.5,{row}" for row in BLOCK_2 if not row.startswith("1,1,")]
+    hpt_file.write_text("p_c,n_building,n_sharing,u_building,u_sharing,samples\n" + "\n".join(rows) + "\n")
+    assert run_cli("egta", "--hpt-file", hpt_file, "--alpha", "1", "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: payoff table has no profile with 1 builders, in the p_c 0.5 table of {hpt_file}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [

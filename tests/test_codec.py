@@ -120,13 +120,18 @@ def test_bid_ratios_equal_scalar_bid_ratio_for_every_genome_pair():
 
 
 def test_import_fills_no_bid_ratio_row():
-    # the table is filled by rounds, never at import, so start-up pays nothing
-    probe = "import pbsgame.simulation, pbsgame.codec as c; print(int(c._BID_FILLED.sum()))"
+    # the table is filled by rounds, never at import or when a simulation is built, so
+    # start-up pays nothing, however many pools it draws
+    probe = (
+        "import pbsgame.simulation as s, pbsgame.codec as c; print(int(c._BID_FILLED.sum()));"
+        "s.Simulation(s.SimConfig(n_builders=50, n_searchers=50, rounds=1, p_c=0.1));"
+        "print(int(c._BID_FILLED.sum()))"
+    )
     src = str(Path(pbsgame.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "0"
+    assert result.stdout.split() == ["0", "0"]
 
 
 def test_random_codes_widths():

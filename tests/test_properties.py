@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pbsgame.simulation
 from pbsgame.analytic import MC_BLOCK, OneSidedMarket, _payoff_coefficients, monte_carlo_searcher_payoff
 from pbsgame.auction import conservation_residual, distribute, run_auction, second_price, settle
-from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan, rank_offers
+from pbsgame.builder import Block, BlockEntry, build_block, greedy_scan, greedy_total, rank_offers
 from pbsgame.codec import bid_ratio, decode_builder, decode_searcher
 from pbsgame.egta import HeuristicPayoffTable, HptRow, alpharank
 from pbsgame.evolution import GAConfig, evolve, roulette, select_strategy
@@ -211,7 +211,12 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
     sim = Simulation(config)
     for codes, bits in zip(sim.codes, genomes):
         codes[:] = int(bits, 2)
-    scans, auctions, settled = [], [], []
+    rows, scans, auctions, settled = [], [], [], []
+
+    def total_spy(*args):
+        # each builder's row as the round ranked it: its picks, its scan total and the total
+        rows.append((args[0], *greedy_scan(*args), greedy_total(*args)))
+        return rows[-1][-1]
 
     def scan_spy(*args):
         scans.append((args[0], *greedy_scan(*args)))
@@ -227,7 +232,8 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
         settled.append(entries)
         return distribute(winner, payment, total_bid, entries, *args)
 
-    with mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
+    with mock.patch.object(pbsgame.simulation, "greedy_total", total_spy), \
+            mock.patch.object(pbsgame.simulation, "greedy_scan", scan_spy), \
             mock.patch.object(pbsgame.simulation, "second_price", auction_spy), \
             mock.patch.object(pbsgame.simulation, "distribute", distribute_spy), \
             given_scenario(scenario):
@@ -242,10 +248,13 @@ def test_round_ranking_and_scan_equal_one_builder_greedy(round_):
             for i in config.searcher_ids
         ]
         blocks[j] = Block(j, tuple(one_builder_greedy(offers, weights, config.capacity)))
-    assert len(scans) == config.n_builders
-    for (owners, picked, total), block in zip(scans, blocks.values()):
+    assert len(rows) == config.n_builders
+    for (owners, picked, scan_total, total), block in zip(rows, blocks.values()):
         assert [owners[k] for k in picked] == [e.owner for e in block.entries]
-        assert total == block.total_bid
+        assert total == scan_total == block.total_bid
+    # the winner's picks come from one more scan, of its row alone
+    [(owners, picked, total)] = scans
+    assert (owners, picked, total) == rows[record.winner][:3]
 
     # the auction on the oracle's blocks, from the generator state the round's auction met
     [(before, (winner, payment), after)] = auctions
@@ -320,6 +329,29 @@ def test_scan_equals_one_builder_greedy_across_mask_words(instance):
     assert [ranked[k] for k in picked] == expected
     assert total == Block(0, tuple(expected)).total_bid
     assert list(build_block(0, offered, graph, capacity).entries) == expected
+
+
+@st.composite
+def ranked_rows(draw):
+    """One builder's row as the round scans it: distinct owners, bids falling with exact ties
+    common, how many leading offers are scanned (any count up to the row's), random conflict
+    masks over every agent, and a capacity of None, 1, 2 or the whole row."""
+    n = draw(st.integers(1, 9))
+    owners = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    bids = sorted((draw(FRACTIONS) for _ in owners), reverse=True)
+    masks = [draw(st.integers(0, 2**n - 1)) & ~(1 << a) for a in range(n)]
+    capacity = draw(st.sampled_from([None, 1, 2, len(owners)]))
+    return owners, bids, draw(st.integers(0, len(owners))), masks, capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_rows())
+def test_totals_only_scan_equals_the_greedy_scan_total(row):
+    owners, bids, length, masks, capacity = row
+    bits = [1 << a for a in range(len(masks))]
+    total = greedy_total(owners, bids, length, masks, bits, capacity)
+    _, scan_total = greedy_scan(owners, bids, length, masks, bits, capacity)
+    assert total == scan_total and type(total) is type(scan_total)
 
 
 @settings(max_examples=200, deadline=None)
